@@ -222,8 +222,9 @@ BENCHMARK(BM_EngineBatchParallel)
 
 void BM_EngineBatchLockstep(benchmark::State& state) {
   // Lockstep SoA execution: B runs advance through one instruction
-  // stream per worker (run_prepared_batch). B=1 is the scalar path; the
-  // spread across widths is the batching win in isolation.
+  // stream per worker (run_prepared_batch). Every width runs the same lane
+  // kernel, B=1 as one lane per run; the spread across widths is the
+  // lockstep win in isolation.
   const int batch = static_cast<int>(state.range(0));
   const std::uint64_t seeds = static_cast<std::uint64_t>(state.range(1));
   Engine engine;
@@ -260,7 +261,7 @@ void BM_MessageRound(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageRound)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
-/// End-to-end sweep throughput at 1 and N threads, scalar and lockstep-
+/// End-to-end sweep throughput at 1 and N threads, one lane and lockstep-
 /// batched — the acceptance record for the parallel engine (runs/sec per
 /// row lands in BENCH_core_perf.json; --batch sets the lockstep width).
 /// The determinism checks are the hard guarantee: the parallel and the

@@ -13,6 +13,8 @@
 // PRs (CI uploads both as workflow artifacts).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
@@ -165,7 +167,7 @@ inline double engine_throughput(const std::string& name,
 
 /// Lockstep batch width (ParallelConfig::batch) used by the benches'
 /// batched throughput rows; --batch overrides it. Batched execution is
-/// byte-identical to scalar for every width, so the knob only moves
+/// byte-identical for every width, so the knob only moves
 /// timings, never row content.
 inline int& batch_width() {
   static int width = 16;
@@ -206,39 +208,79 @@ inline std::string& baseline_path() {
 /// Throughput regressions beyond this fraction fail the bench binary.
 inline constexpr double kBaselineRegressionTolerance = 0.25;
 
-/// Runs/sec of a fixed, cheap reference sweep measured in this process
-/// (memoized): a serial blackboard leader-election batch. The gate divides
-/// every measured rate by this number, so what is compared across machines
-/// is the *ratio* of bench throughput to reference throughput — a property
-/// of the code — rather than absolute runs/sec, a property of the host.
-/// footer() records it in BENCH_<name>.json meta so a baseline captured on
-/// one machine gates runs on another.
+/// One batch of the calibration kernel: `runs` synthetic knowledge runs,
+/// each four rounds of six parties hash-consing (own id, coin, sorted
+/// round multiset) keys into a fresh 256-slot open-addressed table — the
+/// sort/hash/probe mix of a knowledge-backend run, written out here so it
+/// never depends on src/. Returns a checksum so the work cannot be elided.
+inline std::uint64_t calibration_kernel(int runs) {
+  constexpr std::size_t kSlots = 256;
+  std::array<std::uint64_t, kSlots> keys;
+  std::array<std::uint32_t, kSlots> ids;
+  std::uint64_t state = 0x2545f4914f6cdd1dULL;
+  std::uint64_t checksum = 0;
+  for (int run = 0; run < runs; ++run) {
+    keys.fill(0);
+    std::uint32_t next_id = 1;
+    std::array<std::uint32_t, 6> know{};
+    for (int round = 0; round < 4; ++round) {
+      std::array<std::uint32_t, 6> sorted = know;
+      std::sort(sorted.begin(), sorted.end());
+      std::uint64_t multiset = 0xcbf29ce484222325ULL;
+      for (const std::uint32_t id : sorted) {
+        multiset = (multiset ^ id) * 0x100000001b3ULL;
+      }
+      for (std::uint32_t& party : know) {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        const std::uint64_t coin = (state * 0x2545f4914f6cdd1dULL) >> 63;
+        // Odd keys: 0 marks an empty slot.
+        const std::uint64_t key =
+            ((multiset ^ (std::uint64_t{party} << 1 | coin)) *
+             0x9e3779b97f4a7c15ULL) |
+            1;
+        std::size_t slot = static_cast<std::size_t>(key >> 56);
+        while (keys[slot] != 0 && keys[slot] != key) {
+          slot = (slot + 1) % kSlots;
+        }
+        if (keys[slot] == 0) {
+          keys[slot] = key;
+          ids[slot] = next_id++;
+        }
+        party = ids[slot];
+      }
+    }
+    checksum += know[0] + next_id;
+  }
+  return checksum;
+}
+
+/// Synthetic runs/sec of calibration_kernel measured in this process
+/// (memoized). The gate divides every measured rate by this number, so
+/// what is compared across machines is the *ratio* of bench throughput to
+/// a fixed reference workload — a property of the code — rather than
+/// absolute runs/sec, a property of the host. The kernel is independent of
+/// src/, so a speed-up in the library moves the gated ratios instead of
+/// the yardstick. footer() records it in BENCH_<name>.json meta so a
+/// baseline captured on one machine gates runs on another.
 inline double calibration_runs_per_sec() {
   static const double rate = [] {
-    const Experiment spec =
-        Experiment::blackboard(SourceConfiguration::all_private(5))
-            .with_protocol("wait-for-singleton-LE")
-            .with_task("leader-election")
-            .with_rounds(300)
-            .with_seeds(1, 512);
-    Engine engine;
-    engine.run_batch(spec);  // warm caches; only timed passes count
+    constexpr int kRuns = 4096;
+    static volatile std::uint64_t sink = 0;
+    sink = sink + calibration_kernel(kRuns);  // warm caches; not timed
     using clock = std::chrono::steady_clock;
-    // Best of three: the reference sweep is sub-millisecond, so a single
-    // sample is at the mercy of one scheduler hiccup; the fastest of three
-    // estimates the machine's unloaded speed, which is the quantity the
-    // normalization needs.
+    // Best of five: one sample is a few milliseconds, at the mercy of one
+    // scheduler hiccup; the fastest estimates the machine's unloaded
+    // speed, which is the quantity the normalization needs.
     double best = 0.0;
-    for (int trial = 0; trial < 3; ++trial) {
+    for (int trial = 0; trial < 5; ++trial) {
       const auto start = clock::now();
-      engine.run_batch(spec);
+      sink = sink + calibration_kernel(kRuns);
       const double wall_ns =
           std::chrono::duration<double, std::nano>(clock::now() - start)
               .count();
-      const double sample =
-          wall_ns > 0.0
-              ? static_cast<double>(spec.seeds.count) / (wall_ns * 1e-9)
-              : 0.0;
+      const double sample = wall_ns > 0.0 ? kRuns / (wall_ns * 1e-9) : 0.0;
       if (sample > best) best = sample;
     }
     return best;
@@ -447,8 +489,8 @@ inline void check_against_baseline() {
         const double floor =
             expected_ratio * (1.0 - kBaselineRegressionTolerance);
         std::snprintf(line, sizeof(line),
-                      "%s: %.3fx calibration vs baseline %.3fx (floor "
-                      "%.3fx; %.0f runs/sec raw)",
+                      "%s: %.3gx calibration vs baseline %.3gx (floor "
+                      "%.3gx; %.0f runs/sec raw)",
                       expected.name.c_str(), measured_ratio, expected_ratio,
                       floor, rate);
         check(measured_ratio >= floor, line);

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -26,6 +27,9 @@ namespace {
 
 constexpr std::size_t kMaxLineBytes = 1 << 20;
 constexpr int kPollMillis = 200;
+/// Admission bound on parties per spec point (the sum of its loads),
+/// checked before the spec allocates anything per party.
+constexpr std::int64_t kMaxParties = 4096;
 
 std::string quoted(const std::string& s) {
   std::string out;
@@ -314,7 +318,10 @@ std::string Server::handle_request(const std::shared_ptr<Session>& session,
       return handle_submit(session, spec->as_string());
     }
     return error_line("unknown op '" + op->as_string() + "'");
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // Any escape — an rsb::Error or, say, std::bad_alloc from a spec that
+    // slipped past the admission bounds — is this request's reject line;
+    // it must never unwind the session thread and terminate the daemon.
     return error_line(e.what());
   }
 }
@@ -369,6 +376,18 @@ std::string Server::handle_submit(const std::shared_ptr<Session>& session,
   auto job = std::make_shared<Job>();
   std::string hashes;
   for (SpecPoint& point : expand_request(spec_text, config_.max_points)) {
+    // Bound the party count from the parsed loads before to_experiment()
+    // sizes anything by it: one absurd load would otherwise allocate
+    // per-party state far past any machine's memory.
+    std::int64_t parties = 0;
+    for (const int load : point.spec.loads) parties += load;
+    if (parties > kMaxParties) {
+      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+      ++stats_.jobs_rejected;
+      return error_line("party bound exceeded (" + std::to_string(parties) +
+                        " parties; at most " + std::to_string(kMaxParties) +
+                        " per spec)");
+    }
     if (job->points.empty()) {
       job->adaptive = point.spec.adaptive_budget != 0;
       job->adaptive_budget = point.spec.adaptive_budget;
@@ -583,7 +602,12 @@ void Server::scheduler_loop() {
         engine_.set_parallel(parallel);
       }
       const std::uint64_t hits_before = engine_.orbit_hits();
-      payload = run_chunk(engine_, point.spec, chunk, &stats);
+      try {
+        payload = run_chunk(engine_, point.spec, chunk, &stats);
+      } catch (const std::exception& e) {
+        fail_job(job, e.what());
+        continue;
+      }
       deduped = engine_.orbit_hits() - hits_before;
       cache_.insert(key, ResultCache::Entry{payload, stats});
     }
@@ -683,6 +707,24 @@ void Server::scheduler_loop() {
       drain_cv_.notify_all();
     }
   }
+}
+
+void Server::fail_job(const std::shared_ptr<Job>& job,
+                      const std::string& reason) {
+  {
+    std::lock_guard<std::mutex> lock(sched_mutex_);
+    std::deque<std::shared_ptr<Job>>& jobs = job->session->jobs;
+    const auto it = std::find(jobs.begin(), jobs.end(), job);
+    if (it != jobs.end()) {
+      jobs.erase(it);
+      --pending_jobs_;
+    }
+  }
+  std::string line = "{\"type\":\"error\",\"ok\":false";
+  line += ",\"job\":" + std::to_string(job->id);
+  line += ",\"reason\":" + quoted("chunk execution failed: " + reason) + "}";
+  job->session->send_line(line);
+  drain_cv_.notify_all();
 }
 
 ServerStats Server::stats() const {

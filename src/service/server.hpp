@@ -21,12 +21,14 @@
 //   {"type":"done","job":1,"chunks":4,"runs":1000,"runs_executed":1000,
 //    "runs_cached":0,"runs_deduped":0,"summary":{...}}
 //   {"type":"error","ok":false,"reason":"..."}
+//   {"type":"error","ok":false,"job":1,"reason":"..."}  (a chunk threw)
 //
 // Four server-side policies:
 //
 //  * admission control — at most `max_queue_jobs` jobs may be pending at
-//    once; a submit past the bound is rejected immediately with a reason
-//    (never silently queued), as is any submit while draining;
+//    once, and no spec point may exceed 4096 parties; a submit past
+//    either bound is rejected immediately with a reason (never silently
+//    queued), as is any submit while draining;
 //  * fair scheduling — one scheduler thread deals *chunks* (not whole
 //    jobs) onto the engine's work-stealing pool via deficit round robin
 //    across clients: each visit grants a client `quantum_runs` of credit,
@@ -166,6 +168,11 @@ class Server {
                              const std::string& line);
   std::string handle_submit(const std::shared_ptr<Session>& session,
                             const std::string& spec_text);
+
+  /// Drops a job whose chunk threw: removes it from its session's queue,
+  /// releases its admission slot and sends the client an error line
+  /// naming the job. The scheduler and every other job carry on.
+  void fail_job(const std::shared_ptr<Job>& job, const std::string& reason);
 
   /// Picks the next chunk to serve under DRR; null job when idle.
   struct Pick {

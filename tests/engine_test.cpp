@@ -240,9 +240,9 @@ TEST(EngineBatch, ClassSplitElectsExactlyMLeaders) {
 // ------------------------------------------------------------ batching
 
 TEST(EngineBatch, BatchedGroupsRemainderAndOversizedWidthMatchSerial) {
-  // 10 seeds: batch=8 forms one lockstep group plus a 2-run scalar
-  // remainder; batch=64 exceeds the sweep, so every run takes the scalar
-  // path. Both must reproduce the serial aggregate exactly.
+  // 10 seeds: batch=8 forms one lockstep group plus a 2-lane tail batch;
+  // batch=64 exceeds the sweep, so all ten runs form one shorter batch.
+  // Both must reproduce the serial aggregate exactly.
   Engine serial;
   auto spec = Experiment::blackboard(SourceConfiguration::all_private(4))
                   .with_protocol("wait-for-singleton-LE")
@@ -279,7 +279,7 @@ TEST(EngineBatch, BatchWidthValidation) {
   Engine engine;
   EXPECT_THROW(engine.set_parallel({1, 0, 0}), InvalidArgument);
   EXPECT_THROW(engine.set_parallel({1, 0, -4}), InvalidArgument);
-  engine.set_parallel({2, 5, 1});  // the scalar width is always legal
+  engine.set_parallel({2, 5, 1});  // one lane is always legal
 }
 
 // ---------------------------------------------------------- validation

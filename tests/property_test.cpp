@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <tuple>
 
 #include "algo/agents.hpp"
@@ -17,6 +19,7 @@
 #include "core/probability.hpp"
 #include "core/solvability.hpp"
 #include "engine/engine.hpp"
+#include "golden_util.hpp"
 #include "protocol/complexes.hpp"
 #include "randomness/source_bank.hpp"
 #include "util/numeric.hpp"
@@ -455,76 +458,182 @@ std::map<std::uint64_t, OutcomeSnapshot> snapshot_sweep(Engine& engine,
   return out;
 }
 
-// Law 14 — lockstep batched execution is byte-identical to unbatched:
-// for every supported batch width and thread count, per-run outcomes and
-// the merged aggregate equal the serial batch=1 sweep, on both models
-// (fault-free blackboard; message passing under per-run random wirings).
-// 97 seeds is coprime to every width, so each sweep exercises the scalar
-// remainder path too.
-TEST(BatchProperty, BatchedSweepsAreByteIdenticalToUnbatched) {
-  const auto blackboard =
-      Experiment::blackboard(SourceConfiguration::from_loads({2, 2, 1}))
-          .with_protocol("wait-for-singleton-LE")
-          .with_task("leader-election")
-          .with_rounds(300)
-          .with_seeds(1, 97);
-  const auto message =
-      Experiment::message_passing(SourceConfiguration::all_private(5),
-                                  PortPolicy::kRandomPerRun)
-          .with_protocol("wait-for-singleton-LE")
-          .with_task("leader-election")
-          .with_rounds(300)
-          .with_seeds(11, 97);
-  for (const Experiment& spec : {blackboard, message}) {
-    Engine serial;
-    const RunStats reference_stats = serial.run_batch(spec);
-    const auto reference_runs = snapshot_sweep(serial, spec);
-    ASSERT_EQ(reference_runs.size(), 97u);
+// The knowledge-backend outcome oracle: a checked-in golden fixture of
+// per-run outcomes (tests/golden/knowledge_outcomes.txt), captured from
+// the scalar per-run loop the engine executed before the lane kernel
+// became its only knowledge path. Every case names one spec; the fixture
+// pins outputs, decision rounds, rounds, termination and crash schedules
+// run by run, on both models, under random-per-run, cyclic and
+// adversarial wirings, with and without crashes, for every knowledge-
+// backend registry protocol.
+struct GoldenCase {
+  const char* name;
+  Experiment spec;
+};
+
+std::vector<GoldenCase> golden_cases() {
+  const auto sweep = [](Experiment spec, const char* protocol,
+                        const char* task, std::uint64_t first) {
+    return spec.with_protocol(protocol).with_task(task).with_rounds(300)
+        .with_seeds(first, 97);
+  };
+  return {
+      {"bb-singleton-221",
+       sweep(Experiment::blackboard(SourceConfiguration::from_loads({2, 2, 1})),
+             "wait-for-singleton-LE", "leader-election", 1)},
+      {"bb-unique-string-n6",
+       sweep(Experiment::blackboard(SourceConfiguration::all_private(6)),
+             "blackboard-unique-string-LE", "leader-election", 1)},
+      {"bb-class-split2-122",
+       sweep(Experiment::blackboard(SourceConfiguration::from_loads({1, 2, 2})),
+             "wait-for-class-split-LE(2)", "m-leader-election(2)", 1)},
+      {"mp-random-singleton-n5",
+       sweep(Experiment::message_passing(SourceConfiguration::all_private(5),
+                                         PortPolicy::kRandomPerRun),
+             "wait-for-singleton-LE", "leader-election", 11)},
+      {"mp-cyclic-singleton-n6",
+       sweep(Experiment::message_passing(SourceConfiguration::all_private(6),
+                                         PortPolicy::kCyclic),
+             "wait-for-singleton-LE", "leader-election", 5)},
+      // Lemma 4.3: with gcd{2,4} = 2 the adversarial wiring never lets a
+      // singleton class form, so this case pins non-terminating runs.
+      {"mp-adversarial-singleton-24",
+       sweep(Experiment::message_passing(
+                 SourceConfiguration::from_loads({2, 4}),
+                 PortPolicy::kAdversarial),
+             "wait-for-singleton-LE", "leader-election", 7)
+           .with_rounds(40)},
+      // A two-round horizon cuts some runs off before anyone decides.
+      {"bb-singleton-n6-short",
+       sweep(Experiment::blackboard(SourceConfiguration::all_private(6)),
+             "wait-for-singleton-LE", "leader-election", 21)
+           .with_rounds(2)},
+      {"mp-random-class-split2-n5",
+       sweep(Experiment::message_passing(SourceConfiguration::all_private(5),
+                                         PortPolicy::kRandomPerRun),
+             "wait-for-class-split-LE(2)", "m-leader-election(2)", 13)},
+      {"bb-crash2-n6",
+       sweep(Experiment::blackboard(SourceConfiguration::all_private(6)),
+             "wait-for-singleton-LE", "t-resilient-leader-election(2)", 1)
+           .with_faults(sim::FaultPlan::crash_stop(2, 9))
+           .with_seeds(1, 61)},
+      {"mp-random-crash1-n5",
+       sweep(Experiment::message_passing(SourceConfiguration::all_private(5),
+                                         PortPolicy::kRandomPerRun),
+             "wait-for-singleton-LE", "t-resilient-leader-election(1)", 3)
+           .with_faults(sim::FaultPlan::crash_stop(1, 11))
+           .with_seeds(3, 61)},
+      {"mp-cyclic-crash1-n6",
+       sweep(Experiment::message_passing(SourceConfiguration::all_private(6),
+                                         PortPolicy::kCyclic),
+             "wait-for-singleton-LE", "t-resilient-leader-election(1)", 17)
+           .with_faults(sim::FaultPlan::crash_stop(1, 6))
+           .with_seeds(17, 61)},
+  };
+}
+
+template <typename T>
+std::string join_values(const std::vector<T>& values) {
+  std::string out;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out += ',';
+    out += std::to_string(values[i]);
+  }
+  return out;
+}
+
+/// One fixture section: a "# <case>" header, then one line per run in
+/// run-index order — seed, outputs, decision rounds, rounds, terminated,
+/// crash schedule ("-" when fault-free).
+std::string golden_section(Engine& engine, const GoldenCase& c) {
+  std::string out = std::string("# ") + c.name + "\n";
+  engine.run_batch(c.spec,
+                   [&](const RunView& view, const ProtocolOutcome& outcome) {
+                     out += std::to_string(view.seed) + " outputs=" +
+                            join_values(outcome.outputs) + " decided=" +
+                            join_values(outcome.decision_round) +
+                            " rounds=" + std::to_string(outcome.rounds) +
+                            " terminated=" +
+                            (outcome.terminated ? "1" : "0") + " crash=" +
+                            (outcome.crash_round.empty()
+                                 ? std::string("-")
+                                 : join_values(outcome.crash_round)) +
+                            "\n";
+                   });
+  return out;
+}
+
+/// The fixture's sections keyed by case name.
+std::map<std::string, std::string> load_golden_sections() {
+  std::map<std::string, std::string> sections;
+  const std::optional<std::string> text = rsb::testing::read_file(
+      rsb::testing::golden_path("knowledge_outcomes.txt"));
+  if (!text.has_value()) return sections;
+  std::string* current = nullptr;
+  std::size_t pos = 0;
+  while (pos < text->size()) {
+    std::size_t nl = text->find('\n', pos);
+    if (nl == std::string::npos) nl = text->size();
+    const std::string line = text->substr(pos, nl - pos);
+    if (line.rfind("# ", 0) == 0) current = &sections[line.substr(2)];
+    if (current != nullptr) *current += line + "\n";
+    pos = nl + 1;
+  }
+  return sections;
+}
+
+// The fixture itself: a default (serial, one-lane) engine reproduces every
+// section. Regenerate with UPDATE_GOLDEN=1 only when a protocol's
+// semantics change on purpose.
+TEST(KnowledgeGolden, DefaultSweepsReproduceTheFixture) {
+  std::string all;
+  Engine engine;
+  for (const GoldenCase& c : golden_cases()) all += golden_section(engine, c);
+  rsb::testing::expect_matches_golden(all, "knowledge_outcomes.txt");
+}
+
+/// Sweeps each case under every batch {1, 2, 7, 16} x threads {1, 4} x
+/// orbit {off, on} combination and compares its per-run outcomes with the
+/// fixture section, and its aggregate with the default engine's.
+void expect_cases_match_golden(bool faulty) {
+  const std::map<std::string, std::string> golden = load_golden_sections();
+  ASSERT_FALSE(golden.empty()) << "missing tests/golden/knowledge_outcomes.txt";
+  for (const GoldenCase& c : golden_cases()) {
+    if (c.spec.faults.any() != faulty) continue;
+    const auto expected = golden.find(c.name);
+    ASSERT_NE(expected, golden.end()) << "fixture lacks case " << c.name;
+    Engine reference;
+    const RunStats reference_stats = reference.run_batch(c.spec);
     for (const int batch : {1, 2, 7, 16}) {
       for (const int threads : {1, 4}) {
-        Engine engine;
-        engine.set_parallel({threads, 0, batch});
-        EXPECT_EQ(engine.run_batch(spec), reference_stats)
-            << "batch " << batch << " threads " << threads;
-        EXPECT_EQ(snapshot_sweep(engine, spec), reference_runs)
-            << "batch " << batch << " threads " << threads;
+        for (const bool orbit : {false, true}) {
+          Engine engine;
+          engine.set_parallel({threads, 0, batch, orbit});
+          EXPECT_EQ(golden_section(engine, c), expected->second)
+              << c.name << " batch " << batch << " threads " << threads
+              << " orbit " << orbit;
+          EXPECT_EQ(engine.run_batch(c.spec), reference_stats)
+              << c.name << " batch " << batch << " threads " << threads
+              << " orbit " << orbit;
+        }
       }
     }
   }
 }
 
-// Law 15 — batched crash sweeps face the scalar path run for run: a
-// faulty lane executes the same crash bookkeeping, round operators, and
-// per-party decides as run_prepared, so outcomes — crash schedules
-// included — are byte-identical at every width.
-TEST(BatchProperty, BatchedCrashSweepsMatchScalarRunForRun) {
-  const auto blackboard =
-      Experiment::blackboard(SourceConfiguration::all_private(6))
-          .with_protocol("wait-for-singleton-LE")
-          .with_task("t-resilient-leader-election(2)")
-          .with_faults(sim::FaultPlan::crash_stop(2, 9))
-          .with_rounds(300)
-          .with_seeds(1, 61);
-  const auto message =
-      Experiment::message_passing(SourceConfiguration::all_private(5),
-                                  PortPolicy::kRandomPerRun)
-          .with_protocol("wait-for-singleton-LE")
-          .with_task("t-resilient-leader-election(1)")
-          .with_faults(sim::FaultPlan::crash_stop(1, 11))
-          .with_rounds(300)
-          .with_seeds(3, 61);
-  for (const Experiment& spec : {blackboard, message}) {
-    Engine serial;
-    const RunStats reference_stats = serial.run_batch(spec);
-    const auto reference_runs = snapshot_sweep(serial, spec);
-    for (const int batch : {2, 16}) {
-      Engine engine;
-      engine.set_parallel({1, 0, batch});
-      EXPECT_EQ(engine.run_batch(spec), reference_stats) << "batch " << batch;
-      EXPECT_EQ(snapshot_sweep(engine, spec), reference_runs)
-          << "batch " << batch;
-    }
-  }
+// Law 14 — fault-free knowledge sweeps are pinned to the golden fixture
+// for every lane width, thread count and orbit setting, on both models.
+// 97 seeds is coprime to every width, so each sweep ends in a shorter
+// tail batch too.
+TEST(BatchProperty, BatchedSweepsMatchTheGoldenFixture) {
+  expect_cases_match_golden(false);
+}
+
+// Law 15 — crash sweeps are pinned to the fixture run for run: crash
+// schedules, the survivors' decisions and the rounds they took are
+// byte-identical at every width, thread count and orbit setting.
+TEST(BatchProperty, BatchedCrashSweepsMatchTheGoldenFixture) {
+  expect_cases_match_golden(true);
 }
 
 // Law 16 — topology=clique IS the all-to-all path: with_topology

@@ -333,6 +333,26 @@ TEST(Service, AdmissionQueueBoundRejectsWithReason) {
   server.stop();  // drains job 1
 }
 
+TEST(Service, PartyBoundRejectsHugeLoadsAndTheDaemonSurvives) {
+  Server server({.threads = 1});
+  server.start();
+  Client client;
+  client.connect(server.port());
+
+  // One absurd load would size per-party state past any memory; the
+  // admission bound turns it into a named reject before anything is
+  // allocated, and the session keeps answering.
+  const Value rejected = Value::parse(client.request(submit_request(
+      "loads=1,100000000000,1\nprotocol=wait-for-singleton-LE\nseeds=0+4")));
+  EXPECT_EQ(rejected.find("type")->as_string(), "error");
+  EXPECT_NE(rejected.find("reason")->as_string().find("party bound exceeded"),
+            std::string::npos);
+  EXPECT_EQ(server.stats().jobs_rejected, 1u);
+  const Value pong = Value::parse(client.request("{\"op\":\"ping\"}"));
+  EXPECT_EQ(pong.find("type")->as_string(), "pong");
+  server.stop();
+}
+
 TEST(Service, DrainFinishesQueuedJobsAndRejectsNewOnes) {
   Server server({.threads = 2});
   server.start();
