@@ -5,7 +5,6 @@
 #include <span>
 #include <map>
 
-#include "engine/engine.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
@@ -281,31 +280,6 @@ std::optional<std::int64_t> WaitForClassSplitMLE::decide(
   const bool is_leader =
       std::find(chosen->begin(), chosen->end(), own) != chosen->end();
   return is_leader ? 1 : 0;
-}
-
-ProtocolOutcome run_protocol(Model model, const SourceConfiguration& config,
-                             const std::optional<PortAssignment>& ports,
-                             const AnonymousProtocol& protocol,
-                             std::uint64_t seed, int max_rounds,
-                             MessageVariant variant) {
-  if ((model == Model::kMessagePassing) != ports.has_value()) {
-    throw InvalidArgument(
-        "run_protocol: ports must be given exactly for message passing");
-  }
-  Experiment spec;
-  spec.model = model;
-  spec.config = config;
-  // Non-owning view: the caller's protocol outlives this single run.
-  spec.protocol = std::shared_ptr<const AnonymousProtocol>(
-      &protocol, [](const AnonymousProtocol*) {});
-  if (ports.has_value()) {
-    spec.with_ports(*ports);
-  }
-  spec.variant = variant;
-  spec.max_rounds = max_rounds;
-  spec.seeds = SeedRange::single(seed);
-  Engine engine;
-  return engine.run(spec, seed);
 }
 
 }  // namespace rsb

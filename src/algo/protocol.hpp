@@ -7,9 +7,9 @@
 // of the knowledge value: name-independence is enforced by construction,
 // because the function never sees the party's name.
 //
-// The runner advances the real knowledge recursion (Eqs. 1/2) with live
-// randomness from a SourceBank and asks each undecided party for a verdict
-// each round.
+// The engine (engine/engine.hpp) advances the real knowledge recursion
+// (Eqs. 1/2) with live randomness and asks each undecided party for a
+// verdict each round.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,7 @@ class AnonymousProtocol {
 
   /// The party's verdict given its knowledge: nullopt = keep running;
   /// a value = decide it (irrevocably). Must be a pure function of
-  /// (store, knowledge) — the runner may call it in any order.
+  /// (store, knowledge) — the engine may call it in any order.
   virtual std::optional<std::int64_t> decide(const KnowledgeStore& store,
                                              KnowledgeId knowledge) const = 0;
 
@@ -104,21 +104,10 @@ struct ProtocolOutcome {
   /// crash round per party, -1 for survivors. Empty for fault-free runs —
   /// the canonical encoding consumers test to take the fast path.
   std::vector<int> crash_round;
-};
 
-/// Runs `protocol` on n anonymous parties under the given model and
-/// randomness configuration. `ports` must be set iff the model is message
-/// passing.
-///
-/// Compatibility wrapper: delegates to a single-spec Engine run (see
-/// engine/engine.hpp) and returns its bit-identical outcome. New code
-/// sweeping seeds or configurations should build an Experiment and use
-/// Engine::run_batch directly.
-ProtocolOutcome run_protocol(Model model, const SourceConfiguration& config,
-                             const std::optional<PortAssignment>& ports,
-                             const AnonymousProtocol& protocol,
-                             std::uint64_t seed, int max_rounds,
-                             MessageVariant variant = MessageVariant::kPortTagged);
+  friend bool operator==(const ProtocolOutcome&,
+                         const ProtocolOutcome&) = default;
+};
 
 /// Leader election for the blackboard model (complete there by Theorem 4.1):
 /// a party decides once some randomness string at time t−1 is unique among

@@ -8,9 +8,9 @@
 // knowledge-backend run, single runs included, executes in the one lane
 // kernel (run_prepared_batch); agent-backend runs each build a
 // sim::Network. A reset store hands out ids in the same insertion order as
-// a fresh one, so Engine results are bit-identical to the one-shot
-// run_protocol(...) path for equal (spec, seed) — a guarantee the engine
-// tests assert — and pinned run for run by
+// a fresh one, so Engine results equal a fresh per-run recursion through
+// the allocating round operators for equal (spec, seed) — a guarantee the
+// engine tests assert — and are pinned run for run by
 // tests/golden/knowledge_outcomes.txt.
 //
 // Parallelism (ParallelConfig) never changes results: every run is a pure
@@ -29,13 +29,14 @@
 // tests/parallel_engine_test.cpp, tests/collector_test.cpp and
 // tests/fault_scheduler_test.cpp).
 //
-// Aggregation is pluggable (engine/collector.hpp): run_collect sweeps a
-// spec into any Collector — each parallel worker owns a shard, so nothing
-// is buffered per run; run_batch is the RunStats shorthand. One spec type
-// (Experiment) drives both backends: knowledge-level protocols via
-// with_protocol, message-level agents (sim::Network, e.g. Euclid /
-// CreateMatching) via with_agents. Multi-axis sweeps live one layer up in
-// engine/grid.hpp.
+// Aggregation goes through one interface (engine/collector.hpp):
+// run_collect sweeps a spec into any Collector — each parallel worker owns
+// a shard, so nothing is buffered per run; run_batch is the RunStats
+// shorthand. A caller that wants every run in order collects them into a
+// collector whose merge appends. One spec type (Experiment) drives both
+// backends: knowledge-level protocols via with_protocol, message-level
+// agents (sim::Network, e.g. Euclid / CreateMatching) via with_agents.
+// Multi-axis sweeps live one layer up in engine/grid.hpp.
 #pragma once
 
 #include <cstdint>
@@ -53,26 +54,6 @@
 #include "util/rng.hpp"
 
 namespace rsb {
-
-/// Optional per-run callback: a legacy escape hatch for side effects that
-/// must happen on the calling thread (tracing, printing). For custom
-/// statistics prefer a Collector — collectors shard across workers with
-/// no buffering at all.
-///
-/// Ordering contract: the observer always fires on the calling thread, in
-/// run-index order, exactly once per run — also under a parallel batch,
-/// where outcomes are buffered per bounded window (at most threads ×
-/// min(chunk, 256) runs in flight) and drained in order between windows,
-/// so an observed batch holds O(threads · chunk) outcomes, never O(runs).
-/// Observers need no locking for their own state; but note that in an
-/// agent batch — serial or parallel — the observer runs after the per-run
-/// sim::Network has been destroyed, so factory-captured pointers into
-/// agents are dangling by the time it fires (bank per-run agent
-/// diagnostics out of the agent before teardown instead — and make them
-/// atomic, since under threads > 1 agent code runs concurrently on the
-/// workers).
-using RunObserver =
-    std::function<void(const RunView& view, const ProtocolOutcome& outcome)>;
 
 /// How a batch is spread over threads. The default is serial; threads = 0
 /// means "one worker per hardware thread". The sweep is cut into chunks of
@@ -183,17 +164,10 @@ class Engine {
   }
 
   /// Sweeps spec.seeds, aggregating every outcome into a RunStats (the
-  /// default collector). Runs on the configured worker pool; results are
-  /// identical for every ParallelConfig. The observer, when given, fires
-  /// per run on the calling thread in run-index order (see RunObserver).
-  RunStats run_batch(const Experiment& spec,
-                     const RunObserver& observer = nullptr);
-
-  /// Runs several specs back to back (a load-shape or policy sweep),
-  /// reusing this engine's allocations throughout. Each spec's batch runs
-  /// on the configured worker pool.
-  std::vector<RunStats> run_sweep(const std::vector<Experiment>& specs,
-                                  const RunObserver& observer = nullptr);
+  /// default collector): shorthand for run_collect(spec, RunStats{}).
+  RunStats run_batch(const Experiment& spec) {
+    return run_collect(spec, RunStats{});
+  }
 
   /// Peak intern-table size seen so far (diagnostic for allocation reuse),
   /// aggregated as the max over the serial context and every parallel
@@ -234,10 +208,6 @@ class Engine {
   /// stream_offset + chunk begin.
   void drive(const Experiment& spec, std::uint64_t stream_offset,
              const PrepareShards& prepare, const ShardObserver& observe);
-
-  /// The bounded-window buffered path behind run_batch(spec, observer).
-  RunStats run_batch_observed(const Experiment& spec,
-                              const RunObserver& observer);
 
   RunContext ctx_;  // serial-mode (and single-run) context
   std::vector<RunContext> worker_ctxs_;  // parallel-mode, reused per batch

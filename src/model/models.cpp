@@ -64,87 +64,54 @@ std::vector<KnowledgeId> blackboard_round(KnowledgeStore& store,
   return next;
 }
 
-std::vector<KnowledgeId> blackboard_round_crash(
-    KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
-    const std::vector<bool>& bits, const std::vector<int>& crash_round,
-    int round) {
-  if (crash_round.empty()) return blackboard_round(store, prev, bits);
-  const std::size_t n = prev.size();
-  if (bits.size() != n || crash_round.size() != n) {
-    throw InvalidArgument(
-        "blackboard_round_crash: bits/crash/knowledge size mismatch");
-  }
-  const auto alive = [&](std::size_t j) {
-    return crash_round[j] < 0 || round < crash_round[j];
-  };
-  std::vector<KnowledgeId> next;
-  next.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive(i)) {
-      next.push_back(prev[i]);  // frozen at the last pre-crash value
-      continue;
-    }
-    std::vector<KnowledgeId> others;
-    others.reserve(n - 1);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i && alive(j)) others.push_back(prev[j]);
-    }
-    next.push_back(store.blackboard_step(prev[i], bits[i], std::move(others)));
-  }
-  return next;
-}
-
 void blackboard_round_inplace(KnowledgeStore& store,
                               std::vector<KnowledgeId>& knowledge,
                               const std::vector<bool>& bits,
-                              RoundScratch& scratch) {
+                              std::span<const int> crash_round, int round,
+                              RoundScratch& scratch,
+                              std::span<const KnowledgeId> sorted_alive) {
   const std::size_t n = knowledge.size();
-  if (bits.size() != n) {
+  if (bits.size() != n || (!crash_round.empty() && crash_round.size() != n)) {
     throw InvalidArgument(
-        "blackboard_round_inplace: bits/knowledge size mismatch");
+        "blackboard_round_inplace: bits/crash/knowledge size mismatch");
   }
-  // One shared sort canonicalizes every party's multiset: the multiset
-  // {prev[j] : j != i} is the sorted previous vector minus one occurrence
-  // of prev[i], spliced out with two copies.
-  scratch.sorted_prev = knowledge;
-  std::sort(scratch.sorted_prev.begin(), scratch.sorted_prev.end());
-  scratch.next.clear();
-  scratch.next.reserve(n);
-  scratch.received.resize(n > 0 ? n - 1 : 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const KnowledgeId own = knowledge[i];
-    const auto it = std::lower_bound(scratch.sorted_prev.begin(),
-                                     scratch.sorted_prev.end(), own);
-    const std::size_t skip =
-        static_cast<std::size_t>(it - scratch.sorted_prev.begin());
-    std::copy(scratch.sorted_prev.begin(), it, scratch.received.begin());
-    std::copy(it + 1, scratch.sorted_prev.end(),
-              scratch.received.begin() + static_cast<std::ptrdiff_t>(skip));
-    scratch.next.push_back(
-        store.blackboard_step_sorted(own, bits[i], scratch.received));
-  }
-  knowledge.swap(scratch.next);
-}
-
-void blackboard_round_inplace_dedup(KnowledgeStore& store,
-                                    std::vector<KnowledgeId>& knowledge,
-                                    const std::vector<bool>& bits,
-                                    std::span<const KnowledgeId> sorted_prev,
-                                    RoundScratch& scratch) {
-  const std::size_t n = knowledge.size();
-  if (bits.size() != n || sorted_prev.size() != n) {
-    throw InvalidArgument(
-        "blackboard_round_inplace_dedup: bits/sorted_prev/knowledge size "
-        "mismatch");
+  const auto alive = [&](std::size_t j) {
+    return crash_round.empty() || crash_round[j] < 0 || round < crash_round[j];
+  };
+  if (sorted_alive.empty()) {
+    // One shared sort canonicalizes every party's multiset: the multiset
+    // {prev[j] : j != i, j alive} is the sorted alive previous vector
+    // minus one occurrence of prev[i], spliced out with two copies.
+    scratch.sorted_prev.clear();
+    for (std::size_t j = 0; j < n; ++j) {
+      if (alive(j)) scratch.sorted_prev.push_back(knowledge[j]);
+    }
+    std::sort(scratch.sorted_prev.begin(), scratch.sorted_prev.end());
+    sorted_alive = scratch.sorted_prev;
+  } else {
+    std::size_t alive_count = n;
+    if (!crash_round.empty()) {
+      alive_count = 0;
+      for (std::size_t j = 0; j < n; ++j) alive_count += alive(j) ? 1 : 0;
+    }
+    if (sorted_alive.size() != alive_count) {
+      throw InvalidArgument(
+          "blackboard_round_inplace: sorted_alive/alive party count "
+          "mismatch");
+    }
   }
   scratch.next.clear();
   scratch.next.reserve(n);
-  scratch.received.resize(n > 0 ? n - 1 : 0);
+  scratch.received.resize(sorted_alive.empty() ? 0 : sorted_alive.size() - 1);
   scratch.memo_prev.clear();
   scratch.memo_bit.clear();
   scratch.memo_id.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const KnowledgeId own = knowledge[i];
+    if (!alive(i)) {
+      scratch.next.push_back(own);  // frozen at the last pre-crash value
+      continue;
+    }
     const unsigned char bit = bits[i] ? 1 : 0;
     std::size_t m = 0;
     for (; m < scratch.memo_prev.size(); ++m) {
@@ -155,11 +122,11 @@ void blackboard_round_inplace_dedup(KnowledgeStore& store,
       continue;
     }
     const auto it =
-        std::lower_bound(sorted_prev.begin(), sorted_prev.end(), own);
+        std::lower_bound(sorted_alive.begin(), sorted_alive.end(), own);
     const std::size_t skip =
-        static_cast<std::size_t>(it - sorted_prev.begin());
-    std::copy(sorted_prev.begin(), it, scratch.received.begin());
-    std::copy(it + 1, sorted_prev.end(),
+        static_cast<std::size_t>(it - sorted_alive.begin());
+    std::copy(sorted_alive.begin(), it, scratch.received.begin());
+    std::copy(it + 1, sorted_alive.end(),
               scratch.received.begin() + static_cast<std::ptrdiff_t>(skip));
     const KnowledgeId id =
         store.blackboard_step_sorted(own, bits[i], scratch.received);
@@ -171,81 +138,47 @@ void blackboard_round_inplace_dedup(KnowledgeStore& store,
   knowledge.swap(scratch.next);
 }
 
-void blackboard_round_crash_inplace(KnowledgeStore& store,
-                                    std::vector<KnowledgeId>& knowledge,
-                                    const std::vector<bool>& bits,
-                                    const std::vector<int>& crash_round,
-                                    int round, RoundScratch& scratch) {
-  if (crash_round.empty()) {
-    blackboard_round_inplace(store, knowledge, bits, scratch);
-    return;
-  }
-  const std::size_t n = knowledge.size();
-  if (bits.size() != n || crash_round.size() != n) {
-    throw InvalidArgument(
-        "blackboard_round_crash_inplace: bits/crash/knowledge size mismatch");
-  }
-  const auto alive = [&](std::size_t j) {
-    return crash_round[j] < 0 || round < crash_round[j];
-  };
-  // Eq. (1)'s survivor-restricted multiset: one shared sort of the alive
-  // previous values; each alive party's multiset is that vector minus one
-  // occurrence of its own value.
-  scratch.sorted_prev.clear();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (alive(j)) scratch.sorted_prev.push_back(knowledge[j]);
-  }
-  std::sort(scratch.sorted_prev.begin(), scratch.sorted_prev.end());
-  scratch.next.clear();
-  scratch.next.reserve(n);
-  scratch.received.resize(
-      scratch.sorted_prev.empty() ? 0 : scratch.sorted_prev.size() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive(i)) {
-      scratch.next.push_back(knowledge[i]);  // frozen at last pre-crash value
-      continue;
-    }
-    const KnowledgeId own = knowledge[i];
-    const auto it = std::lower_bound(scratch.sorted_prev.begin(),
-                                     scratch.sorted_prev.end(), own);
-    const std::size_t skip =
-        static_cast<std::size_t>(it - scratch.sorted_prev.begin());
-    std::copy(scratch.sorted_prev.begin(), it, scratch.received.begin());
-    std::copy(it + 1, scratch.sorted_prev.end(),
-              scratch.received.begin() + static_cast<std::ptrdiff_t>(skip));
-    scratch.next.push_back(
-        store.blackboard_step_sorted(own, bits[i], scratch.received));
-  }
-  knowledge.swap(scratch.next);
-}
-
 void message_round_inplace(KnowledgeStore& store,
                            std::vector<KnowledgeId>& knowledge,
                            const std::vector<bool>& bits,
                            const PortAssignment& ports, MessageVariant variant,
+                           std::span<const int> crash_round, int round,
                            RoundScratch& scratch) {
   const std::size_t n = knowledge.size();
-  if (bits.size() != n) {
+  if (bits.size() != n || (!crash_round.empty() && crash_round.size() != n)) {
     throw InvalidArgument(
-        "message_round_inplace: bits/knowledge size mismatch");
+        "message_round_inplace: bits/crash/knowledge size mismatch");
   }
   if (ports.num_parties() != static_cast<int>(n)) {
     throw InvalidArgument(
         "message_round_inplace: ports/knowledge size mismatch");
   }
+  const auto alive = [&](std::size_t j) {
+    return crash_round.empty() || crash_round[j] < 0 || round < crash_round[j];
+  };
   const bool tagged = variant == MessageVariant::kPortTagged;
   scratch.next.clear();
   scratch.next.reserve(n);
   scratch.received.resize(n > 0 ? n - 1 : 0);
   scratch.tags.resize(tagged && n > 0 ? n - 1 : 0);
   for (std::size_t i = 0; i < n; ++i) {
+    if (!alive(i)) {
+      scratch.next.push_back(knowledge[i]);  // frozen at last pre-crash value
+      continue;
+    }
     for (int p = 1; p <= static_cast<int>(n) - 1; ++p) {
       const int sender = ports.neighbor(static_cast<int>(i), p);
+      const bool sender_alive = alive(static_cast<std::size_t>(sender));
+      // silence() interns lazily on first use, so a fault-free round never
+      // interns it.
       scratch.received[static_cast<std::size_t>(p - 1)] =
-          knowledge[static_cast<std::size_t>(sender)];
+          sender_alive ? knowledge[static_cast<std::size_t>(sender)]
+                       : store.silence();
       if (tagged) {
+        // A silent channel transmits nothing, so no reciprocal tag; 0 is
+        // outside the valid port range [1, n-1].
         scratch.tags[static_cast<std::size_t>(p - 1)] =
-            ports.port_to(sender, static_cast<int>(i));
+            sender_alive ? ports.port_to(sender, static_cast<int>(i)) : 0;
       }
     }
     scratch.next.push_back(store.message_step_view(
@@ -289,112 +222,6 @@ std::vector<KnowledgeId> message_round(KnowledgeStore& store,
     }
   }
   return next;
-}
-
-std::vector<KnowledgeId> message_round_crash(
-    KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
-    const std::vector<bool>& bits, const PortAssignment& ports,
-    MessageVariant variant, const std::vector<int>& crash_round, int round) {
-  if (crash_round.empty()) {
-    return message_round(store, prev, bits, ports, variant);
-  }
-  const std::size_t n = prev.size();
-  if (bits.size() != n || crash_round.size() != n) {
-    throw InvalidArgument(
-        "message_round_crash: bits/crash/knowledge size mismatch");
-  }
-  if (ports.num_parties() != static_cast<int>(n)) {
-    throw InvalidArgument("message_round_crash: ports/knowledge size mismatch");
-  }
-  const auto alive = [&](std::size_t j) {
-    return crash_round[j] < 0 || round < crash_round[j];
-  };
-  std::vector<KnowledgeId> next;
-  next.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive(i)) {
-      next.push_back(prev[i]);  // frozen at the last pre-crash value
-      continue;
-    }
-    std::vector<KnowledgeId> by_port;
-    std::vector<int> tags;
-    by_port.reserve(n - 1);
-    if (variant == MessageVariant::kPortTagged) tags.reserve(n - 1);
-    for (int p = 1; p <= static_cast<int>(n) - 1; ++p) {
-      const int sender = ports.neighbor(static_cast<int>(i), p);
-      const bool sender_alive = alive(static_cast<std::size_t>(sender));
-      by_port.push_back(sender_alive ? prev[static_cast<std::size_t>(sender)]
-                                     : store.silence());
-      if (variant == MessageVariant::kPortTagged) {
-        // A silent channel transmits nothing, so no reciprocal tag; 0 is
-        // outside the valid port range [1, n-1].
-        tags.push_back(sender_alive ? ports.port_to(sender, static_cast<int>(i))
-                                    : 0);
-      }
-    }
-    if (variant == MessageVariant::kPortTagged) {
-      next.push_back(store.message_step_tagged(prev[i], bits[i],
-                                               std::move(by_port),
-                                               std::move(tags)));
-    } else {
-      next.push_back(store.message_step(prev[i], bits[i], std::move(by_port)));
-    }
-  }
-  return next;
-}
-
-void message_round_crash_inplace(KnowledgeStore& store,
-                                 std::vector<KnowledgeId>& knowledge,
-                                 const std::vector<bool>& bits,
-                                 const PortAssignment& ports,
-                                 MessageVariant variant,
-                                 const std::vector<int>& crash_round,
-                                 int round, RoundScratch& scratch) {
-  if (crash_round.empty()) {
-    message_round_inplace(store, knowledge, bits, ports, variant, scratch);
-    return;
-  }
-  const std::size_t n = knowledge.size();
-  if (bits.size() != n || crash_round.size() != n) {
-    throw InvalidArgument(
-        "message_round_crash_inplace: bits/crash/knowledge size mismatch");
-  }
-  if (ports.num_parties() != static_cast<int>(n)) {
-    throw InvalidArgument(
-        "message_round_crash_inplace: ports/knowledge size mismatch");
-  }
-  const auto alive = [&](std::size_t j) {
-    return crash_round[j] < 0 || round < crash_round[j];
-  };
-  const bool tagged = variant == MessageVariant::kPortTagged;
-  scratch.next.clear();
-  scratch.next.reserve(n);
-  scratch.received.resize(n > 0 ? n - 1 : 0);
-  scratch.tags.resize(tagged && n > 0 ? n - 1 : 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive(i)) {
-      scratch.next.push_back(knowledge[i]);  // frozen at last pre-crash value
-      continue;
-    }
-    for (int p = 1; p <= static_cast<int>(n) - 1; ++p) {
-      const int sender = ports.neighbor(static_cast<int>(i), p);
-      const bool sender_alive = alive(static_cast<std::size_t>(sender));
-      // silence() interns lazily on first use — the same point in the id
-      // sequence as the allocating version, keeping ids byte-identical.
-      scratch.received[static_cast<std::size_t>(p - 1)] =
-          sender_alive ? knowledge[static_cast<std::size_t>(sender)]
-                       : store.silence();
-      if (tagged) {
-        // A silent channel transmits nothing, so no reciprocal tag; 0 is
-        // outside the valid port range [1, n-1].
-        scratch.tags[static_cast<std::size_t>(p - 1)] =
-            sender_alive ? ports.port_to(sender, static_cast<int>(i)) : 0;
-      }
-    }
-    scratch.next.push_back(store.message_step_view(
-        knowledge[i], bits[i], scratch.received, scratch.tags));
-  }
-  knowledge.swap(scratch.next);
 }
 
 namespace {

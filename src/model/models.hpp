@@ -3,7 +3,11 @@
 // A model turns the knowledge vector (K_1(t−1), ..., K_n(t−1)) plus the
 // round-t random bits into (K_1(t), ..., K_n(t)), implementing Eq. (1)
 // (blackboard) and Eq. (2) (message passing). Full information is implicit:
-// each party contributes its entire knowledge every round.
+// each party contributes its entire knowledge every round. Each model has
+// two operators: an allocating reference round (blackboard_round,
+// message_round) and the allocation-free in-place kernel the engine runs
+// (blackboard_round_inplace, message_round_inplace), which also carries
+// crash-stop faults.
 #pragma once
 
 #include <span>
@@ -55,6 +59,12 @@ std::vector<KnowledgeId> blackboard_round(KnowledgeStore& store,
                                           const std::vector<KnowledgeId>& prev,
                                           const std::vector<bool>& bits);
 
+/// One message-passing round (Eq. 2) under the given port assignment.
+std::vector<KnowledgeId> message_round(
+    KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
+    const std::vector<bool>& bits, const PortAssignment& ports,
+    MessageVariant variant = MessageVariant::kPortTagged);
+
 /// Reusable scratch buffers for the in-place round operators below. Batch
 /// drivers keep one per worker (RunContext) so steady-state sweeps run the
 /// knowledge recursion without a single allocation per round.
@@ -63,101 +73,52 @@ struct RoundScratch {
   std::vector<KnowledgeId> received;
   std::vector<int> tags;
   std::vector<KnowledgeId> next;
-  // Per-round (prev, bit) → id memo of the deduping blackboard operator.
+  // Per-round (prev, bit) → id memo of the blackboard operator.
   std::vector<KnowledgeId> memo_prev;
   std::vector<unsigned char> memo_bit;
   std::vector<KnowledgeId> memo_id;
 };
 
-/// One blackboard round in place: knowledge := Eq. (1)(knowledge, bits).
-/// Byte-identical ids (and store insertion order) to blackboard_round —
-/// the multiset each party receives is canonicalized by one shared sort of
-/// the previous vector instead of n per-party sorts, and values are probed
-/// with borrowed storage (KnowledgeStore::blackboard_step_sorted).
+/// One blackboard round in place, under crash-stop faults:
+/// knowledge := Eq. (1)(knowledge, bits) over the parties still
+/// participating. Party j participates in round `round` iff crash_round is
+/// empty (fault-free), crash_round[j] < 0, or round < crash_round[j]
+/// (sim/fault.hpp semantics — a party halts at the start of its crash
+/// round). A crashed party posts nothing and its knowledge stays frozen at
+/// its last pre-crash value; every alive party splices the same survivor
+/// multiset. Ids and store insertion order are byte-identical to
+/// blackboard_round on a fault-free round (survivors intern in party
+/// order, the dead intern nothing).
+///
+/// The survivor multiset is canonicalized once per round, not once per
+/// party: `sorted_alive` is the caller's sorted copy of the alive previous
+/// values (the lane kernel already sorts them for its pre-round decision
+/// hook), or empty to let the operator sort them into scratch itself. A
+/// party's step value is then a function of its own (prev, bit) alone, so
+/// a per-round memo skips repeat probes — they would have been no-op
+/// lookups, so ids and insertion order are unchanged.
 void blackboard_round_inplace(KnowledgeStore& store,
                               std::vector<KnowledgeId>& knowledge,
                               const std::vector<bool>& bits,
-                              RoundScratch& scratch);
+                              std::span<const int> crash_round, int round,
+                              RoundScratch& scratch,
+                              std::span<const KnowledgeId> sorted_alive = {});
 
-/// One message-passing round in place; byte-identical ids to
-/// message_round under the same variant.
+/// One message-passing round in place, under crash-stop faults (same
+/// participation rule as blackboard_round_inplace; empty crash_round =
+/// fault-free, byte-identical ids to message_round under the same
+/// variant). A crashed party's knowledge is frozen at its last pre-crash
+/// value; an alive receiver's Eq. (2) tuple entry for a port whose sender
+/// has halted is the distinguished "silence" value
+/// (KnowledgeStore::silence) — the synchronous-model fact that a dead
+/// channel is detectable — with reciprocal tag 0 in the port-tagged
+/// variant (a silent channel transmits no tag; real ports are >= 1).
 void message_round_inplace(KnowledgeStore& store,
                            std::vector<KnowledgeId>& knowledge,
                            const std::vector<bool>& bits,
                            const PortAssignment& ports, MessageVariant variant,
+                           std::span<const int> crash_round, int round,
                            RoundScratch& scratch);
-
-/// One blackboard round under crash-stop faults: party j participates in
-/// round `round` iff crash_round[j] < 0 or round < crash_round[j]
-/// (sim/fault.hpp semantics — a party halts at the start of its crash
-/// round). A crashed party posts nothing, so the Eq. (1) multiset seen by
-/// the survivors ranges over the still-participating parties only; the
-/// crashed party's own knowledge is frozen at its last pre-crash value.
-/// With an empty crash schedule this is exactly blackboard_round.
-std::vector<KnowledgeId> blackboard_round_crash(
-    KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
-    const std::vector<bool>& bits, const std::vector<int>& crash_round,
-    int round);
-
-/// blackboard_round_inplace with a per-round (prev, bit) memo: within one
-/// round, a party's step value is a function of its own previous value and
-/// bit alone (every party splices the same shared multiset), so parties
-/// sharing a (prev, bit) pair share the result id. The first occurrence
-/// performs exactly the insertion the undeduped operator would; repeats
-/// would have been no-op probes, so skipping them keeps ids and store
-/// insertion order byte-identical. The memo scan is O(n) per party against
-/// at most n entries — a win whenever duplicates exist (early rounds,
-/// where most of a sweep's rounds are spent), which is why the lockstep
-/// batched path uses this variant. `sorted_prev` must be the caller-sorted
-/// copy of `knowledge` (the batched engine already builds it for the
-/// pre-round decision hook, so the sort is paid once per round).
-void blackboard_round_inplace_dedup(KnowledgeStore& store,
-                                    std::vector<KnowledgeId>& knowledge,
-                                    const std::vector<bool>& bits,
-                                    std::span<const KnowledgeId> sorted_prev,
-                                    RoundScratch& scratch);
-
-/// blackboard_round_crash with scratch buffers: byte-identical ids (and
-/// store insertion order — survivors intern in party order, the dead
-/// intern nothing) with no steady-state allocations. With an empty crash
-/// schedule this is exactly blackboard_round_inplace.
-void blackboard_round_crash_inplace(KnowledgeStore& store,
-                                    std::vector<KnowledgeId>& knowledge,
-                                    const std::vector<bool>& bits,
-                                    const std::vector<int>& crash_round,
-                                    int round, RoundScratch& scratch);
-
-/// One message-passing round (Eq. 2) under the given port assignment.
-std::vector<KnowledgeId> message_round(
-    KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
-    const std::vector<bool>& bits, const PortAssignment& ports,
-    MessageVariant variant = MessageVariant::kPortTagged);
-
-/// One message-passing round under crash-stop faults: party j participates
-/// in round `round` iff crash_round[j] < 0 or round < crash_round[j]
-/// (sim/fault.hpp semantics). A crashed party's knowledge is frozen at its
-/// last pre-crash value; an alive receiver's Eq. (2) tuple entry for a
-/// port whose sender has halted is the distinguished "silence" value
-/// (KnowledgeStore::silence) — the synchronous-model fact that a dead
-/// channel is detectable — with reciprocal tag 0 in the port-tagged
-/// variant (a silent channel transmits no tag; real ports are >= 1).
-/// With an empty crash schedule this is exactly message_round.
-std::vector<KnowledgeId> message_round_crash(
-    KnowledgeStore& store, const std::vector<KnowledgeId>& prev,
-    const std::vector<bool>& bits, const PortAssignment& ports,
-    MessageVariant variant, const std::vector<int>& crash_round, int round);
-
-/// message_round_crash with scratch buffers: byte-identical ids and store
-/// insertion order (silence is interned lazily at the same first-use point
-/// as the allocating version). With an empty crash schedule this is
-/// exactly message_round_inplace.
-void message_round_crash_inplace(KnowledgeStore& store,
-                                 std::vector<KnowledgeId>& knowledge,
-                                 const std::vector<bool>& bits,
-                                 const PortAssignment& ports,
-                                 MessageVariant variant,
-                                 const std::vector<int>& crash_round,
-                                 int round, RoundScratch& scratch);
 
 /// The knowledge vector at the realization's time in the blackboard model,
 /// computed by running Eq. (1) for t rounds on the realization's bits.

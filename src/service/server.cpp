@@ -201,12 +201,14 @@ void Server::stop() {
   }
   running_.store(false);
   work_cv_.notify_all();
+  // shutdown() wakes the accept loop's poll at once; the fd is closed and
+  // cleared only after the loop has exited, since the loop reads it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (scheduler_thread_.joinable()) scheduler_thread_.join();
   std::vector<std::thread> session_threads;
   {

@@ -10,6 +10,7 @@
 #include "algo/protocol.hpp"
 #include "algo/reduction.hpp"
 #include "core/consistency.hpp"
+#include "engine/engine.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
@@ -25,43 +26,63 @@ void expect_exactly_one_leader(const ProtocolOutcome& outcome) {
   EXPECT_EQ(leaders, 1);
 }
 
+/// One engine run of the named registry protocol on the blackboard.
+ProtocolOutcome run_blackboard(const SourceConfiguration& config,
+                               const char* protocol, std::uint64_t seed,
+                               int max_rounds) {
+  Engine engine;
+  return engine.run(Experiment::blackboard(config)
+                        .with_protocol(protocol)
+                        .with_rounds(max_rounds),
+                    seed);
+}
+
+/// One engine run of the named registry protocol under fixed ports.
+ProtocolOutcome run_message_passing(const SourceConfiguration& config,
+                                    const PortAssignment& ports,
+                                    const char* protocol, std::uint64_t seed,
+                                    int max_rounds) {
+  Engine engine;
+  return engine.run(Experiment::message_passing(config)
+                        .with_ports(ports)
+                        .with_protocol(protocol)
+                        .with_rounds(max_rounds),
+                    seed);
+}
+
 // ------------------------------------------ blackboard leader election
 
 TEST(BlackboardLE, ElectsExactlyOneLeaderWithPrivateSources) {
-  const BlackboardUniqueStringLE protocol;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const auto config = SourceConfiguration::all_private(4);
-    const auto outcome = run_protocol(Model::kBlackboard, config, std::nullopt,
-                                      protocol, seed, 200);
+    const auto outcome =
+        run_blackboard(config, "blackboard-unique-string-LE", seed, 200);
     expect_exactly_one_leader(outcome);
   }
 }
 
 TEST(BlackboardLE, SolvesWithSingletonSourceAmongPairs) {
-  const BlackboardUniqueStringLE protocol;
   const auto config = SourceConfiguration::from_loads({1, 2, 2});
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto outcome = run_protocol(Model::kBlackboard, config, std::nullopt,
-                                      protocol, seed, 400);
+    const auto outcome =
+        run_blackboard(config, "blackboard-unique-string-LE", seed, 400);
     expect_exactly_one_leader(outcome);
   }
 }
 
 TEST(BlackboardLE, NeverTerminatesWithoutSingletonSource) {
   // Theorem 4.1 'only if': loads {2,2} admit no unique string, ever.
-  const BlackboardUniqueStringLE protocol;
   const auto config = SourceConfiguration::from_loads({2, 2});
-  const auto outcome = run_protocol(Model::kBlackboard, config, std::nullopt,
-                                    protocol, /*seed=*/3, /*max_rounds=*/100);
+  const auto outcome = run_blackboard(config, "blackboard-unique-string-LE",
+                                      /*seed=*/3, /*max_rounds=*/100);
   EXPECT_FALSE(outcome.terminated);
   for (int r : outcome.decision_round) EXPECT_EQ(r, -1);
 }
 
 TEST(BlackboardLE, AllDecideInTheSameRound) {
-  const BlackboardUniqueStringLE protocol;
   const auto config = SourceConfiguration::all_private(3);
-  const auto outcome = run_protocol(Model::kBlackboard, config, std::nullopt,
-                                    protocol, 11, 200);
+  const auto outcome =
+      run_blackboard(config, "blackboard-unique-string-LE", 11, 200);
   ASSERT_TRUE(outcome.terminated);
   EXPECT_EQ(outcome.decision_round[0], outcome.decision_round[1]);
   EXPECT_EQ(outcome.decision_round[1], outcome.decision_round[2]);
@@ -70,34 +91,31 @@ TEST(BlackboardLE, AllDecideInTheSameRound) {
 // --------------------------------------------- wait-for-singleton (both)
 
 TEST(WaitForSingletonLE, BlackboardAgreesWithUniqueString) {
-  const WaitForSingletonLE protocol;
   const auto config = SourceConfiguration::from_loads({1, 3});
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto outcome = run_protocol(Model::kBlackboard, config, std::nullopt,
-                                      protocol, seed, 400);
+    const auto outcome =
+        run_blackboard(config, "wait-for-singleton-LE", seed, 400);
     expect_exactly_one_leader(outcome);
   }
 }
 
 TEST(WaitForSingletonLE, MessagePassingGcd1UnderCyclicPorts) {
-  const WaitForSingletonLE protocol;
   const auto config = SourceConfiguration::from_loads({2, 3});
   const PortAssignment pa = PortAssignment::cyclic(5);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto outcome =
-        run_protocol(Model::kMessagePassing, config, pa, protocol, seed, 400);
+        run_message_passing(config, pa, "wait-for-singleton-LE", seed, 400);
     expect_exactly_one_leader(outcome);
   }
 }
 
 TEST(WaitForSingletonLE, MessagePassingGcd1UnderRandomPorts) {
-  const WaitForSingletonLE protocol;
   const auto config = SourceConfiguration::from_loads({2, 3});
   Xoshiro256StarStar rng(77);
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const PortAssignment pa = PortAssignment::random(5, rng);
     const auto outcome =
-        run_protocol(Model::kMessagePassing, config, pa, protocol, seed, 400);
+        run_message_passing(config, pa, "wait-for-singleton-LE", seed, 400);
     expect_exactly_one_leader(outcome);
   }
 }
@@ -105,19 +123,16 @@ TEST(WaitForSingletonLE, MessagePassingGcd1UnderRandomPorts) {
 TEST(WaitForSingletonLE, AdversarialPortsGcd2NeverElect) {
   // Lemma 4.3 in action: loads {2,4}, adversarial ports, tagged model —
   // every class stays a multiple of 2 forever.
-  const WaitForSingletonLE protocol;
   const auto config = SourceConfiguration::from_loads({2, 4});
   const PortAssignment pa = PortAssignment::adversarial_for(config);
-  const auto outcome = run_protocol(Model::kMessagePassing, config, pa,
-                                    protocol, /*seed=*/5, /*max_rounds=*/60);
+  const auto outcome = run_message_passing(
+      config, pa, "wait-for-singleton-LE", /*seed=*/5, /*max_rounds=*/60);
   EXPECT_FALSE(outcome.terminated);
 }
 
 TEST(WaitForSingletonLE, SoloPartyElectsItself) {
-  const WaitForSingletonLE protocol;
   const auto config = SourceConfiguration::all_private(1);
-  const auto outcome = run_protocol(Model::kBlackboard, config, std::nullopt,
-                                    protocol, 1, 10);
+  const auto outcome = run_blackboard(config, "wait-for-singleton-LE", 1, 10);
   ASSERT_TRUE(outcome.terminated);
   EXPECT_EQ(outcome.outputs, (std::vector<std::int64_t>{1}));
 }
@@ -126,11 +141,10 @@ TEST(WaitForSingletonLE, SoloPartyElectsItself) {
 
 TEST(MLeaderElection, TwoLeadersFromPairedSources) {
   // loads {2,4}: 2-LE solvable on the blackboard (class of size 2).
-  const WaitForClassSplitMLE protocol(2);
   const auto config = SourceConfiguration::from_loads({2, 4});
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto outcome = run_protocol(Model::kBlackboard, config, std::nullopt,
-                                      protocol, seed, 400);
+    const auto outcome =
+        run_blackboard(config, "wait-for-class-split-LE(2)", seed, 400);
     ASSERT_TRUE(outcome.terminated) << "seed " << seed;
     int leaders = 0;
     for (std::int64_t v : outcome.outputs) leaders += v == 1 ? 1 : 0;
@@ -141,10 +155,9 @@ TEST(MLeaderElection, TwoLeadersFromPairedSources) {
 TEST(MLeaderElection, InfeasibleTargetNeverTerminates) {
   // loads {1,4}: no subset of classes ever sums to 2 on the blackboard
   // (classes can only be 1, 4, or 5 = 1+4 — the 4-class never splits).
-  const WaitForClassSplitMLE protocol(2);
   const auto config = SourceConfiguration::from_loads({1, 4});
-  const auto outcome = run_protocol(Model::kBlackboard, config, std::nullopt,
-                                    protocol, 9, 80);
+  const auto outcome =
+      run_blackboard(config, "wait-for-class-split-LE(2)", 9, 80);
   EXPECT_FALSE(outcome.terminated);
 }
 
@@ -376,13 +389,20 @@ TEST(Reduction, ValidatesArguments) {
 // -------------------------------------------------------- runner contract
 
 TEST(Runner, ValidatesPortsPresence) {
-  const WaitForSingletonLE protocol;
+  // Ports must be given exactly for message passing: Engine::run rejects
+  // a wireless message-passing spec and a wired blackboard spec alike.
   const auto config = SourceConfiguration::all_private(2);
-  EXPECT_THROW(run_protocol(Model::kMessagePassing, config, std::nullopt,
-                            protocol, 1, 10),
+  Engine engine;
+  EXPECT_THROW(engine.run(Experiment::message_passing(config, PortPolicy::kNone)
+                              .with_protocol("wait-for-singleton-LE")
+                              .with_rounds(10),
+                          1),
                InvalidArgument);
-  EXPECT_THROW(run_protocol(Model::kBlackboard, config,
-                            PortAssignment::cyclic(2), protocol, 1, 10),
+  EXPECT_THROW(engine.run(Experiment::blackboard(config)
+                              .with_ports(PortAssignment::cyclic(2))
+                              .with_protocol("wait-for-singleton-LE")
+                              .with_rounds(10),
+                          1),
                InvalidArgument);
 }
 

@@ -226,6 +226,44 @@ TEST(CanonicalSpec, RejectsMalformedInput) {
   EXPECT_THROW(CanonicalSpec::parse("loads=2,3\nseeds=xyz"), InvalidArgument);
 }
 
+/// The InvalidArgument message CanonicalSpec::parse throws for `text`.
+std::string parse_error(const std::string& text) {
+  try {
+    CanonicalSpec::parse(text);
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CanonicalSpec, OutOfRangeIntegersAreRejectedByName) {
+  // Values past int range once wrapped onto valid ones: rounds=4294967396
+  // parsed as rounds=100 and loads=4294967298,3 as loads=2,3, with the
+  // same spec hash — distinct client specs aliasing one cache entry.
+  const std::string protocol = "protocol=wait-for-singleton-LE\n";
+  const std::map<std::string, std::string> rejected = {
+      {"rounds", "loads=2,3\nrounds=4294967396"},
+      {"loads", "loads=4294967298,3"},
+      {"batch", "loads=2,3\nbatch=4294967312"},
+      {"fault-crashes", "loads=2,3\nfault-crashes=4294967297"},
+      {"fault-window", "loads=2,3\nfault-window=-4294967295"},
+      {"sched", "loads=2,3\nsched=random-delay(4294967299)"},
+      {"ports", "loads=1,1,1\nport-policy=fixed\nports=1,2,0,2,0,4294967297"},
+  };
+  for (const auto& [key, text] : rejected) {
+    const std::string error = parse_error(protocol + text);
+    EXPECT_NE(error.find("key '" + key + "' wants an integer"),
+              std::string::npos)
+        << text << ": " << error;
+  }
+  // The largest in-range spelling still parses as itself.
+  EXPECT_EQ(
+      CanonicalSpec::parse(protocol + "loads=2,3\nrounds=2147483647").rounds,
+      2147483647);
+  EXPECT_TRUE(parse_error(protocol + "loads=2,3\nrounds=-2147483649")
+                  .find("wants an integer") != std::string::npos);
+}
+
 TEST(CanonicalSpec, ToExperimentResolvesAndValidates) {
   const CanonicalSpec good = CanonicalSpec::parse(
       "loads=2,3\nprotocol=wait-for-singleton-LE\ntask=leader-election\n"

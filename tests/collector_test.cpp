@@ -2,8 +2,8 @@
 // concept, CombineCollectors / FoldCollector composition, and the
 // property the whole design hangs on — any collector composition produces
 // byte-identical results at 1, 2, and hardware-concurrency thread counts,
-// because worker shards observe disjoint run sets and merge in
-// worker-index order.
+// because shards observe disjoint run ranges and merge in chunk-index
+// (= run-index) order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 
 #include "algo/euclid.hpp"
 #include "engine/engine.hpp"
+#include "record_outcomes.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
@@ -224,39 +225,41 @@ TEST(Collector, FoldCollectorStateAccess) {
   auto result = engine.run_collect(spec, fold);
   ASSERT_EQ(result.state().size(), 10u);
   // Serial engine: observation order is run order, so the fold's vector
-  // matches the observer-visible sequence.
-  std::vector<int> via_observer;
+  // matches the recorded run sequence.
+  std::vector<int> recorded;
   Engine again;
-  again.run_batch(spec, [&](const RunView&, const ProtocolOutcome& outcome) {
-    via_observer.push_back(outcome.rounds);
-  });
-  EXPECT_EQ(result.state(), via_observer);
+  for (const RecordedRun& run : record_runs(again, spec)) {
+    recorded.push_back(run.outcome.rounds);
+  }
+  EXPECT_EQ(result.state(), recorded);
 }
 
-// --------------------------------------------- bounded observer windows
+// ------------------------------------------------- run-index order
 
-TEST(Collector, ObservedParallelBatchDrainsInOrderAcrossWindows) {
-  // 29 runs at chunk 3 with 2 workers → window 6: several windows, ragged
-  // tail. The observer must still fire exactly once per run, in
-  // run-index order, with stats identical to serial.
+TEST(Collector, AppendingCollectorSeesRunIndexOrderUnderEveryConfig) {
+  // 29 runs at chunk 3: many shards and a ragged tail. An appending
+  // collector must come back with every run exactly once, in run-index
+  // order, byte-identical to the serial sweep — per-run wiring included —
+  // for threads {1, 4} x batch {1, 16} x orbit {off, on}.
   const auto spec = message_passing_spec(29);
   Engine serial;
-  const RunStats reference = serial.run_batch(spec);
-  for (int threads : {2, hardware_threads()}) {
-    Engine engine;
-    engine.set_parallel({threads, 3});
-    std::vector<std::uint64_t> seeds_seen;
-    const RunStats stats = engine.run_batch(
-        spec, [&](const RunView& view, const ProtocolOutcome&) {
-          EXPECT_EQ(view.run_index, seeds_seen.size());
-          ASSERT_NE(view.ports, nullptr);
-          seeds_seen.push_back(view.seed);
-        });
-    ASSERT_EQ(seeds_seen.size(), 29u);
-    for (std::size_t i = 0; i < seeds_seen.size(); ++i) {
-      EXPECT_EQ(seeds_seen[i], spec.seeds.first + i);
+  const std::vector<RecordedRun> reference = record_runs(serial, spec);
+  ASSERT_EQ(reference.size(), 29u);
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].run_index, i);
+    EXPECT_EQ(reference[i].seed, spec.seeds.first + i);
+    EXPECT_TRUE(reference[i].ports.has_value());
+  }
+  for (int threads : {1, 4}) {
+    for (int batch : {1, 16}) {
+      for (bool orbit : {false, true}) {
+        Engine engine;
+        engine.set_parallel({threads, 3, batch, orbit});
+        EXPECT_EQ(record_runs(engine, spec), reference)
+            << "threads=" << threads << " batch=" << batch
+            << " orbit=" << orbit;
+      }
     }
-    EXPECT_EQ(stats, reference) << "threads=" << threads;
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the experiment engine: declarative specs, batched seed sweeps
-// with allocation reuse, the protocol/task registries, and the
-// compatibility contract that Engine results are bit-identical to the
-// legacy one-shot run_protocol(...) path.
+// with allocation reuse, the protocol/task registries, and the contract
+// that Engine results are bit-identical to a fresh per-run recursion
+// through the allocating round operators (reference_run below).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,6 +9,7 @@
 #include "algo/agents.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
+#include "record_outcomes.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
@@ -97,7 +98,7 @@ TEST(EngineRoundTrip, BitIdenticalToReferenceOnMessagePassing) {
   }
 }
 
-TEST(EngineRoundTrip, RunProtocolWrapperDelegatesUnchanged) {
+TEST(EngineRoundTrip, BitIdenticalToReferenceOnPrivateSources) {
   const auto config = SourceConfiguration::all_private(4);
   const WaitForSingletonLE protocol;
   Engine engine;
@@ -105,10 +106,11 @@ TEST(EngineRoundTrip, RunProtocolWrapperDelegatesUnchanged) {
                   .with_protocol("wait-for-singleton-LE")
                   .with_rounds(150);
   for (std::uint64_t seed = 5; seed <= 15; ++seed) {
-    const auto via_wrapper = run_protocol(Model::kBlackboard, config,
-                                          std::nullopt, protocol, seed, 150);
-    const auto via_engine = engine.run(spec, seed);
-    EXPECT_TRUE(outcomes_identical(via_wrapper, via_engine)) << "seed " << seed;
+    const auto expected = reference_run(Model::kBlackboard, config,
+                                        std::nullopt, protocol, seed, 150,
+                                        MessageVariant::kPortTagged);
+    const auto actual = engine.run(spec, seed);
+    EXPECT_TRUE(outcomes_identical(expected, actual)) << "seed " << seed;
   }
 }
 
@@ -178,7 +180,7 @@ TEST(EngineBatch, AdversarialPortsFreezeEvenGcd) {
   EXPECT_TRUE(stats.output_counts.empty());
 }
 
-TEST(EngineBatch, ObserverSeesEveryRunInOrder) {
+TEST(EngineBatch, RecordedRunsArriveInRunIndexOrder) {
   Engine engine;
   auto spec = Experiment::message_passing(
                   SourceConfiguration::from_loads({2, 3}))
@@ -186,34 +188,26 @@ TEST(EngineBatch, ObserverSeesEveryRunInOrder) {
                   .with_protocol("wait-for-singleton-LE")
                   .with_rounds(300)
                   .with_seeds(10, 12);
-  std::vector<std::uint64_t> seeds_seen;
-  const RunStats stats = engine.run_batch(
-      spec, [&](const RunView& view, const ProtocolOutcome& outcome) {
-        EXPECT_EQ(view.run_index, seeds_seen.size());
-        ASSERT_NE(view.ports, nullptr);
-        EXPECT_TRUE(outcome.terminated);
-        seeds_seen.push_back(view.seed);
-      });
-  ASSERT_EQ(seeds_seen.size(), 12u);
-  EXPECT_EQ(seeds_seen.front(), 10u);
-  EXPECT_EQ(seeds_seen.back(), 21u);
-  EXPECT_EQ(stats.runs, 12u);
+  const std::vector<RecordedRun> runs = record_runs(engine, spec);
+  ASSERT_EQ(runs.size(), 12u);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].run_index, i);
+    EXPECT_EQ(runs[i].seed, 10u + i);
+    EXPECT_TRUE(runs[i].ports.has_value());
+    EXPECT_TRUE(runs[i].outcome.terminated);
+  }
+  EXPECT_EQ(engine.run_batch(spec).runs, 12u);
 }
 
-TEST(EngineBatch, SweepRunsEachSpec) {
-  Engine engine;
-  std::vector<Experiment> specs;
-  for (int n = 3; n <= 5; ++n) {
-    specs.push_back(Experiment::blackboard(
-                        SourceConfiguration::all_private(n))
-                        .with_protocol("wait-for-singleton-LE")
-                        .with_rounds(300)
-                        .with_seeds(1, 10));
-  }
-  const std::vector<RunStats> all = engine.run_sweep(specs);
-  ASSERT_EQ(all.size(), 3u);
+TEST(EngineBatch, BackToBackSpecsEachRunTheirSeeds) {
+  Engine engine;  // one engine across specs: allocations are reused
   RunStats pooled;
-  for (const RunStats& stats : all) {
+  for (int n = 3; n <= 5; ++n) {
+    const RunStats stats = engine.run_batch(
+        Experiment::blackboard(SourceConfiguration::all_private(n))
+            .with_protocol("wait-for-singleton-LE")
+            .with_rounds(300)
+            .with_seeds(1, 10));
     EXPECT_EQ(stats.runs, 10u);
     EXPECT_DOUBLE_EQ(stats.termination_rate(), 1.0);
     pooled.merge(stats);

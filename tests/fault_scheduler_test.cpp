@@ -22,6 +22,7 @@
 #include "engine/report.hpp"
 #include "engine/run_context.hpp"
 #include "golden_util.hpp"
+#include "record_outcomes.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
@@ -227,17 +228,16 @@ TEST(FaultParallelism, FaultyDelayedAgentRunsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(FaultParallelism, ObserverSeesCrashScheduleInRunIndexOrder) {
+TEST(FaultParallelism, RecordedCrashSchedulesArriveInRunIndexOrder) {
   const auto spec = faulty_blackboard_spec(5, 1, 24);
   auto collect = [&spec](int threads) {
     Engine engine;
     engine.set_parallel({threads, 3});
     std::vector<std::vector<int>> schedules;
-    engine.run_batch(spec,
-                     [&](const RunView& view, const ProtocolOutcome& outcome) {
-                       EXPECT_EQ(view.run_index, schedules.size());
-                       schedules.push_back(outcome.crash_round);
-                     });
+    for (const RecordedRun& run : record_runs(engine, spec)) {
+      EXPECT_EQ(run.run_index, schedules.size());
+      schedules.push_back(run.outcome.crash_round);
+    }
     return schedules;
   };
   const auto reference = collect(1);
@@ -256,33 +256,34 @@ TEST(CrashSemantics, KnowledgeBackendHonorsTheDrawnSchedule) {
   std::vector<int> expected_schedule;
   std::uint64_t manual_successes = 0;
   const SymmetricTask task = *spec.task;
-  const RunStats stats = engine.run_batch(
-      spec, [&](const RunView& view, const ProtocolOutcome& outcome) {
-        spec.faults.draw(5, view.seed, expected_schedule);
-        // The reported schedule is exactly the plan's per-seed draw.
-        EXPECT_EQ(outcome.crash_round, expected_schedule);
-        std::vector<bool> alive(5);
-        std::vector<int> values(5);
-        for (int party = 0; party < 5; ++party) {
-          const int crash = outcome.crash_round[static_cast<std::size_t>(party)];
-          const int decided =
-              outcome.decision_round[static_cast<std::size_t>(party)];
-          alive[static_cast<std::size_t>(party)] = crash < 0;
-          values[static_cast<std::size_t>(party)] = static_cast<int>(
-              outcome.outputs[static_cast<std::size_t>(party)]);
-          // A party never decides at or after its crash round.
-          if (crash >= 0 && decided >= 0) {
-            EXPECT_LT(decided, crash);
-          }
-          // Terminated means precisely: every survivor decided.
-          if (outcome.terminated && crash < 0) {
-            EXPECT_GE(decided, 0);
-          }
-        }
-        if (outcome.terminated && task.admits_surviving(values, alive)) {
-          ++manual_successes;
-        }
-      });
+  for (const RecordedRun& run : record_runs(engine, spec)) {
+    const ProtocolOutcome& outcome = run.outcome;
+    spec.faults.draw(5, run.seed, expected_schedule);
+    // The reported schedule is exactly the plan's per-seed draw.
+    EXPECT_EQ(outcome.crash_round, expected_schedule);
+    std::vector<bool> alive(5);
+    std::vector<int> values(5);
+    for (int party = 0; party < 5; ++party) {
+      const int crash = outcome.crash_round[static_cast<std::size_t>(party)];
+      const int decided =
+          outcome.decision_round[static_cast<std::size_t>(party)];
+      alive[static_cast<std::size_t>(party)] = crash < 0;
+      values[static_cast<std::size_t>(party)] = static_cast<int>(
+          outcome.outputs[static_cast<std::size_t>(party)]);
+      // A party never decides at or after its crash round.
+      if (crash >= 0 && decided >= 0) {
+        EXPECT_LT(decided, crash);
+      }
+      // Terminated means precisely: every survivor decided.
+      if (outcome.terminated && crash < 0) {
+        EXPECT_GE(decided, 0);
+      }
+    }
+    if (outcome.terminated && task.admits_surviving(values, alive)) {
+      ++manual_successes;
+    }
+  }
+  const RunStats stats = engine.run_batch(spec);
   // The engine's success accounting is the survivor-based one.
   EXPECT_EQ(stats.task_successes, manual_successes);
   EXPECT_EQ(stats.crashed_parties, 2u * 32u);
@@ -297,16 +298,17 @@ TEST(CrashSemantics, GossipStarvesWhenAPeerCrashesBeforeSending) {
   auto spec = gossip_spec(4, 20).with_faults(FaultPlan::crash_stop(1, 1));
   spec.task.reset();
   Engine engine;
-  const RunStats stats = engine.run_batch(
-      spec, [&](const RunView&, const ProtocolOutcome& outcome) {
-        EXPECT_FALSE(outcome.terminated);
-        for (int party = 0; party < 4; ++party) {
-          const int crash = outcome.crash_round[static_cast<std::size_t>(party)];
-          // Nobody can complete the gossip: the crashed word never arrives.
-          EXPECT_EQ(outcome.decision_round[static_cast<std::size_t>(party)], -1)
-              << "party " << party << " crash " << crash;
-        }
-      });
+  for (const RecordedRun& run : record_runs(engine, spec)) {
+    const ProtocolOutcome& outcome = run.outcome;
+    EXPECT_FALSE(outcome.terminated);
+    for (int party = 0; party < 4; ++party) {
+      const int crash = outcome.crash_round[static_cast<std::size_t>(party)];
+      // Nobody can complete the gossip: the crashed word never arrives.
+      EXPECT_EQ(outcome.decision_round[static_cast<std::size_t>(party)], -1)
+          << "party " << party << " crash " << crash;
+    }
+  }
+  const RunStats stats = engine.run_batch(spec);
   EXPECT_EQ(stats.terminated, 0u);
   EXPECT_EQ(stats.crashed_parties, 20u);
 }
@@ -320,32 +322,31 @@ TEST(CrashSemantics, SurvivorsKeepDecisionsWhenCrashesComeLate) {
   const auto late = gossip_spec(4, 16).with_faults(FaultPlan::crash_stop(1, 30));
   Engine engine;
   std::vector<ProtocolOutcome> plain_outcomes;
-  engine.run_batch(plain,
-                   [&](const RunView&, const ProtocolOutcome& outcome) {
-                     EXPECT_TRUE(outcome.terminated);
-                     plain_outcomes.push_back(outcome);
-                   });
+  for (const RecordedRun& recorded : record_runs(engine, plain)) {
+    EXPECT_TRUE(recorded.outcome.terminated);
+    plain_outcomes.push_back(recorded.outcome);
+  }
   std::size_t run = 0;
   std::uint64_t late_crashes = 0;
-  engine.run_batch(
-      late, [&](const RunView&, const ProtocolOutcome& outcome) {
-        ASSERT_LT(run, plain_outcomes.size());
-        int crash = -1;
-        for (int round : outcome.crash_round) crash = std::max(crash, round);
-        ASSERT_GE(crash, 1);  // exactly one victim per run
-        if (crash >= 2) {
-          ++late_crashes;
-          EXPECT_TRUE(outcome.terminated);
-          EXPECT_EQ(outcome.rounds, plain_outcomes[run].rounds);
-          EXPECT_EQ(outcome.outputs, plain_outcomes[run].outputs);
-          EXPECT_EQ(outcome.decision_round, plain_outcomes[run].decision_round);
-        } else {
-          // Crash at round 1: the victim's word is never sent, the gossip
-          // starves, nobody decides.
-          EXPECT_FALSE(outcome.terminated);
-        }
-        ++run;
-      });
+  for (const RecordedRun& recorded : record_runs(engine, late)) {
+    const ProtocolOutcome& outcome = recorded.outcome;
+    ASSERT_LT(run, plain_outcomes.size());
+    int crash = -1;
+    for (int round : outcome.crash_round) crash = std::max(crash, round);
+    ASSERT_GE(crash, 1);  // exactly one victim per run
+    if (crash >= 2) {
+      ++late_crashes;
+      EXPECT_TRUE(outcome.terminated);
+      EXPECT_EQ(outcome.rounds, plain_outcomes[run].rounds);
+      EXPECT_EQ(outcome.outputs, plain_outcomes[run].outputs);
+      EXPECT_EQ(outcome.decision_round, plain_outcomes[run].decision_round);
+    } else {
+      // Crash at round 1: the victim's word is never sent, the gossip
+      // starves, nobody decides.
+      EXPECT_FALSE(outcome.terminated);
+    }
+    ++run;
+  }
   EXPECT_EQ(run, 16u);
   EXPECT_GT(late_crashes, 0u);  // window 30: most crashes land late
 }
@@ -489,24 +490,27 @@ TEST(KnowledgeMPFaults, CrashZeroIsByteIdenticalToThePlainPath) {
 }
 
 TEST(KnowledgeMPFaults, SilenceMasksCrashedChannels) {
-  // Direct semantics of message_round_crash: the crashed party's knowledge
-  // freezes, survivors' tuples carry the silence value (tag 0) on the dead
-  // channel, and with an empty schedule the operator is message_round.
+  // Direct semantics of message_round_inplace under a crash column: the
+  // crashed party's knowledge freezes, survivors' tuples carry the silence
+  // value (tag 0) on the dead channel, and with an empty column the
+  // operator is message_round.
   KnowledgeStore store;
+  RoundScratch scratch;
   const PortAssignment ports = PortAssignment::cyclic(3);
   const std::vector<bool> bits = {true, false, true};
   const std::vector<KnowledgeId> prev = initial_knowledge(store, 3);
 
   const auto plain = message_round(store, prev, bits, ports);
-  const auto empty_sched = message_round_crash(store, prev, bits, ports,
-                                               MessageVariant::kPortTagged,
-                                               {}, 1);
+  std::vector<KnowledgeId> empty_sched = prev;
+  message_round_inplace(store, empty_sched, bits, ports,
+                        MessageVariant::kPortTagged, {}, 1, scratch);
   EXPECT_EQ(plain, empty_sched);
 
   // Party 1 crashes at round 1: it never participates.
   const std::vector<int> crash = {-1, 1, -1};
-  const auto next = message_round_crash(store, prev, bits, ports,
-                                        MessageVariant::kPortTagged, crash, 1);
+  std::vector<KnowledgeId> next = prev;
+  message_round_inplace(store, next, bits, ports, MessageVariant::kPortTagged,
+                        crash, 1, scratch);
   EXPECT_EQ(next[1], prev[1]) << "crashed knowledge frozen";
   EXPECT_NE(next[0], plain[0]) << "survivor sees a silent channel";
   const KnowledgeId silence = store.silence();
@@ -533,24 +537,22 @@ TEST(KnowledgeMPFaults, CrashSchedulesHonoredRunForRun) {
   const auto spec = faulty_mp_spec(5, 1, 24);
   Engine engine;
   std::vector<int> expected;
-  engine.run_batch(spec,
-                   [&](const RunView& view, const ProtocolOutcome& outcome) {
-                     spec.faults.draw(5, view.seed, expected);
-                     EXPECT_EQ(outcome.crash_round, expected)
-                         << "seed " << view.seed;
-                     for (int party = 0; party < 5; ++party) {
-                       const int crash =
-                           outcome.crash_round[static_cast<std::size_t>(party)];
-                       const int decided = outcome.decision_round
-                           [static_cast<std::size_t>(party)];
-                       if (crash >= 0 && decided >= 0) {
-                         EXPECT_LT(decided, crash);
-                       }
-                       if (outcome.terminated && crash < 0) {
-                         EXPECT_GE(decided, 0);
-                       }
-                     }
-                   });
+  for (const RecordedRun& run : record_runs(engine, spec)) {
+    const ProtocolOutcome& outcome = run.outcome;
+    spec.faults.draw(5, run.seed, expected);
+    EXPECT_EQ(outcome.crash_round, expected) << "seed " << run.seed;
+    for (int party = 0; party < 5; ++party) {
+      const int crash = outcome.crash_round[static_cast<std::size_t>(party)];
+      const int decided =
+          outcome.decision_round[static_cast<std::size_t>(party)];
+      if (crash >= 0 && decided >= 0) {
+        EXPECT_LT(decided, crash);
+      }
+      if (outcome.terminated && crash < 0) {
+        EXPECT_GE(decided, 0);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- t-resilient tasks

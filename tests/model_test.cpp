@@ -4,6 +4,7 @@
 // the literal and port-tagged readings of Eq. (2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "model/models.hpp"
@@ -204,6 +205,121 @@ TEST(Models, RoundInputValidation) {
   const PortAssignment pa = PortAssignment::cyclic(4);
   EXPECT_THROW(message_round(store, k0, {true, false, true}, pa),
                InvalidArgument);
+}
+
+// ------------------------------------------------- in-place round kernels
+
+std::vector<bool> random_bits(int n, Xoshiro256StarStar& rng) {
+  std::vector<bool> bits;
+  for (int i = 0; i < n; ++i) bits.push_back(rng.next_bit());
+  return bits;
+}
+
+TEST(InPlaceKernels, BlackboardMatchesTheAllocatingRoundRoundForRound) {
+  // Both branches of the in-place kernel — the caller-sorted multiset the
+  // lane kernel passes and the self-sorted one — intern exactly what the
+  // allocating reference interns, in the same order, every round.
+  for (int n = 1; n <= 8; ++n) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Xoshiro256StarStar rng(seed * 1000 + static_cast<std::uint64_t>(n));
+      KnowledgeStore reference_store, self_store, caller_store;
+      RoundScratch scratch;
+      std::vector<KnowledgeId> reference = initial_knowledge(reference_store, n);
+      std::vector<KnowledgeId> self_sorted = initial_knowledge(self_store, n);
+      std::vector<KnowledgeId> caller_sorted =
+          initial_knowledge(caller_store, n);
+      for (int round = 1; round <= 8; ++round) {
+        const std::vector<bool> bits = random_bits(n, rng);
+        reference = blackboard_round(reference_store, reference, bits);
+        blackboard_round_inplace(self_store, self_sorted, bits, {}, round,
+                                 scratch);
+        std::vector<KnowledgeId> sorted = caller_sorted;
+        std::sort(sorted.begin(), sorted.end());
+        blackboard_round_inplace(caller_store, caller_sorted, bits, {}, round,
+                                 scratch, sorted);
+        EXPECT_EQ(self_sorted, reference) << "n=" << n << " round=" << round;
+        EXPECT_EQ(caller_sorted, reference) << "n=" << n << " round=" << round;
+        EXPECT_EQ(self_store.size(), reference_store.size());
+        EXPECT_EQ(caller_store.size(), reference_store.size());
+      }
+    }
+  }
+}
+
+TEST(InPlaceKernels, MessagePassingMatchesTheAllocatingRoundRoundForRound) {
+  for (const MessageVariant variant :
+       {MessageVariant::kPortTagged, MessageVariant::kLiteral}) {
+    for (int n = 1; n <= 8; ++n) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Xoshiro256StarStar rng(seed * 1000 + static_cast<std::uint64_t>(n));
+        const PortAssignment ports = PortAssignment::random(n, rng);
+        KnowledgeStore reference_store, store;
+        RoundScratch scratch;
+        std::vector<KnowledgeId> reference =
+            initial_knowledge(reference_store, n);
+        std::vector<KnowledgeId> knowledge = initial_knowledge(store, n);
+        for (int round = 1; round <= 8; ++round) {
+          const std::vector<bool> bits = random_bits(n, rng);
+          reference =
+              message_round(reference_store, reference, bits, ports, variant);
+          message_round_inplace(store, knowledge, bits, ports, variant, {},
+                                round, scratch);
+          EXPECT_EQ(knowledge, reference)
+              << to_string(variant) << " n=" << n << " round=" << round;
+          EXPECT_EQ(store.size(), reference_store.size());
+        }
+      }
+    }
+  }
+}
+
+TEST(InPlaceKernels, BlackboardCrashFreezesTheDeadAndDropsThemFromTheBoard) {
+  // Two fault-free rounds give every party a distinct value; then party 2
+  // crashes at round 3 and party 3 only at round 6. In round 3 the dead
+  // party keeps its value and posts nothing: each survivor's multiset
+  // ranges over the other alive parties only. Both multiset branches
+  // agree.
+  KnowledgeStore store;
+  RoundScratch scratch;
+  std::vector<KnowledgeId> prev = initial_knowledge(store, 4);
+  blackboard_round_inplace(store, prev, {true, false, true, false}, {}, 1,
+                           scratch);
+  blackboard_round_inplace(store, prev, {false, false, true, true}, {}, 2,
+                           scratch);
+  const std::set<KnowledgeId> distinct(prev.begin(), prev.end());
+  ASSERT_EQ(distinct.size(), 4u);
+
+  const std::vector<int> crash = {-1, -1, 3, 6};
+  const std::vector<bool> bits = {true, true, false, true};
+  std::vector<KnowledgeId> next = prev;
+  blackboard_round_inplace(store, next, bits, crash, 3, scratch);
+  EXPECT_EQ(next[2], prev[2]) << "crashed knowledge frozen";
+  for (const std::size_t i : {0u, 1u, 3u}) {
+    EXPECT_EQ(store.previous(next[i]), prev[i]);
+    std::vector<KnowledgeId> expected;
+    for (const std::size_t j : {0u, 1u, 3u}) {
+      if (j != i) expected.push_back(prev[j]);
+    }
+    std::sort(expected.begin(), expected.end());
+    const auto received = store.received(next[i]);
+    EXPECT_EQ(std::vector<KnowledgeId>(received.begin(), received.end()),
+              expected)
+        << "party " << i;
+  }
+
+  std::vector<KnowledgeId> sorted = {prev[0], prev[1], prev[3]};
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<KnowledgeId> via_caller = prev;
+  const std::size_t size_before = store.size();
+  blackboard_round_inplace(store, via_caller, bits, crash, 3, scratch, sorted);
+  EXPECT_EQ(via_caller, next);
+  EXPECT_EQ(store.size(), size_before) << "same round interns nothing new";
+  // A caller multiset that still counts the dead party is rejected.
+  std::vector<KnowledgeId> all = prev;
+  std::sort(all.begin(), all.end());
+  EXPECT_THROW(
+      blackboard_round_inplace(store, via_caller, bits, crash, 3, scratch, all),
+      InvalidArgument);
 }
 
 // ------------------------------------------ literal vs port-tagged Eq. (2)

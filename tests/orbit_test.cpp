@@ -18,6 +18,7 @@
 #include "algo/euclid.hpp"
 #include "engine/engine.hpp"
 #include "engine/orbit.hpp"
+#include "record_outcomes.hpp"
 #include "sim/fault.hpp"
 
 namespace rsb {
@@ -204,24 +205,18 @@ TEST(OrbitDedup, SafeGroupDetectionWidensTheQuotient) {
   EXPECT_GT(literal_hits, 0u);
 }
 
-TEST(OrbitDedup, ObservedPathReplicatesIdentically) {
-  // run_batch with an observer drives the bounded-window buffered path;
-  // one memo table spans every window.
+TEST(OrbitDedup, RecordedRunsReplicateIdentically) {
+  // Every replicated run reaches the collector in run-index order with its
+  // own seed and the representative's relabeled outcome, exactly as the
+  // brute-force sweep reports it.
   const auto spec = clique_le(5, 200);
-  auto observe = [&spec](int threads, int batch, bool orbit) {
-    Engine engine;
-    engine.set_parallel({threads, 0, batch, orbit});
-    RowCollector rows;
-    engine.run_batch(spec, [&](const RunView& view,
-                               const ProtocolOutcome& outcome) {
-      rows.observe(view, outcome);
-    });
-    return rows.rows;
-  };
-  const std::vector<std::string> reference = observe(1, 1, false);
+  Engine brute;
+  const std::vector<RecordedRun> reference = record_runs(brute, spec);
   for (int threads : {1, 4}) {
     for (int batch : {1, 16}) {
-      EXPECT_EQ(observe(threads, batch, true), reference)
+      Engine engine;
+      engine.set_parallel({threads, 0, batch, true});
+      EXPECT_EQ(record_runs(engine, spec), reference)
           << "threads=" << threads << " batch=" << batch;
     }
   }

@@ -1,6 +1,6 @@
 // Tests for the parallel experiment engine: byte-identical RunStats across
 // thread counts (the determinism contract of DESIGN.md's "Concurrency
-// model"), observer ordering under threads > 1, RunStats::merge edge
+// model"), per-run ordering under threads > 1, RunStats::merge edge
 // cases, the chunk knob, and high-water aggregation across worker
 // contexts.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "algo/euclid.hpp"
 #include "engine/engine.hpp"
 #include "engine/run_context.hpp"
+#include "record_outcomes.hpp"
 #include "util/error.hpp"
 
 namespace rsb {
@@ -82,17 +83,13 @@ TEST(ParallelEngine, HardwareConcurrencyResolvesAndMatchesSerial) {
   EXPECT_EQ(parallel.run_batch(spec), serial.run_batch(spec));
 }
 
-TEST(ParallelEngine, SweepMatchesSerialPerSpec) {
-  std::vector<Experiment> specs;
-  for (int n = 3; n <= 5; ++n) specs.push_back(blackboard_spec(n, 12));
+TEST(ParallelEngine, BackToBackSpecsMatchSerialPerSpec) {
   Engine serial;
-  const std::vector<RunStats> reference = serial.run_sweep(specs);
-  Engine parallel;
+  Engine parallel;  // one engine across specs: worker contexts are reused
   parallel.set_parallel({8, 0});
-  const std::vector<RunStats> stats = parallel.run_sweep(specs);
-  ASSERT_EQ(stats.size(), reference.size());
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    EXPECT_EQ(stats[i], reference[i]) << "spec " << i;
+  for (int n = 3; n <= 5; ++n) {
+    const auto spec = blackboard_spec(n, 12);
+    EXPECT_EQ(parallel.run_batch(spec), serial.run_batch(spec)) << "n " << n;
   }
 }
 
@@ -122,32 +119,27 @@ TEST(ParallelEngine, SingleEngineGivesSameAnswerSerialThenParallel) {
   EXPECT_EQ(serial_again, serial);
 }
 
-// ------------------------------------------------------------ observers
+// ------------------------------------------------------- per-run order
 
-TEST(ParallelEngine, ObserverDrainsInRunIndexOrderUnderThreads) {
+TEST(ParallelEngine, RecordedRunsArriveInRunIndexOrderUnderThreads) {
   const auto spec = message_passing_spec(29);
   for (int threads : {2, 8}) {
     Engine engine;
     engine.set_parallel({threads, 3});
-    std::vector<std::uint64_t> seeds_seen;
-    engine.run_batch(spec, [&](const RunView& view,
-                               const ProtocolOutcome& outcome) {
-      EXPECT_EQ(view.run_index, seeds_seen.size());
-      ASSERT_NE(view.ports, nullptr);  // message passing: wiring available
-      EXPECT_TRUE(outcome.terminated);
-      seeds_seen.push_back(view.seed);
-    });
-    ASSERT_EQ(seeds_seen.size(), 29u);
-    for (std::size_t i = 0; i < seeds_seen.size(); ++i) {
-      EXPECT_EQ(seeds_seen[i], spec.seeds.first + i);
+    const std::vector<RecordedRun> runs = record_runs(engine, spec);
+    ASSERT_EQ(runs.size(), 29u);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].run_index, i);
+      EXPECT_EQ(runs[i].seed, spec.seeds.first + i);
+      EXPECT_TRUE(runs[i].ports.has_value());  // message passing: wiring
+      EXPECT_TRUE(runs[i].outcome.terminated);
     }
   }
 }
 
-TEST(ParallelEngine, ObserverSeesSharedWiringForRunInvariantPolicies) {
+TEST(ParallelEngine, RunsSeeSharedWiringForRunInvariantPolicies) {
   // Fixed/cyclic/adversarial policies use one wiring for the whole batch;
-  // the parallel drain hands observers that shared assignment instead of
-  // per-run copies.
+  // every run of a parallel sweep sees that assignment.
   const PortAssignment wiring = PortAssignment::cyclic(5);
   auto spec =
       Experiment::message_passing(SourceConfiguration::from_loads({2, 3}))
@@ -157,28 +149,22 @@ TEST(ParallelEngine, ObserverSeesSharedWiringForRunInvariantPolicies) {
           .with_seeds(1, 17);
   Engine engine;
   engine.set_parallel({4, 0});
-  std::uint64_t seen = 0;
-  engine.run_batch(spec, [&](const RunView& view, const ProtocolOutcome&) {
-    ASSERT_NE(view.ports, nullptr);
-    EXPECT_EQ(*view.ports, wiring);
-    ++seen;
-  });
-  EXPECT_EQ(seen, 17u);
+  const std::vector<RecordedRun> runs = record_runs(engine, spec);
+  ASSERT_EQ(runs.size(), 17u);
+  for (const RecordedRun& run : runs) {
+    ASSERT_TRUE(run.ports.has_value());
+    EXPECT_EQ(*run.ports, wiring);
+  }
 }
 
-TEST(ParallelEngine, ObserverSeesSameOutcomesAsSerial) {
+TEST(ParallelEngine, RecordedRunsMatchSerial) {
   const auto spec = blackboard_spec(4, 24);
   auto collect = [&spec](int threads) {
     Engine engine;
     engine.set_parallel({threads, 0});
-    std::vector<int> rounds;
-    engine.run_batch(spec,
-                     [&](const RunView&, const ProtocolOutcome& outcome) {
-                       rounds.push_back(outcome.rounds);
-                     });
-    return rounds;
+    return record_runs(engine, spec);
   };
-  const std::vector<int> reference = collect(1);
+  const std::vector<RecordedRun> reference = collect(1);
   EXPECT_EQ(collect(2), reference);
   EXPECT_EQ(collect(8), reference);
 }

@@ -22,6 +22,7 @@
 #include "golden_util.hpp"
 #include "protocol/complexes.hpp"
 #include "randomness/source_bank.hpp"
+#include "record_outcomes.hpp"
 #include "util/numeric.hpp"
 
 namespace rsb {
@@ -206,11 +207,13 @@ TEST(DyadicProperty, RandomizedArithmeticAgreesWithDouble) {
 // Law 8 — protocols decide name-independently: parties with identical
 // final knowledge produce identical outputs.
 TEST(ProtocolProperty, EqualKnowledgeImpliesEqualOutputs) {
-  const WaitForSingletonLE protocol;
+  const auto config = SourceConfiguration::from_loads({2, 2, 1});
+  const auto spec = Experiment::blackboard(config)
+                        .with_protocol("wait-for-singleton-LE")
+                        .with_rounds(200);
+  Engine engine;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const auto config = SourceConfiguration::from_loads({2, 2, 1});
-    const auto outcome = run_protocol(Model::kBlackboard, config, std::nullopt,
-                                      protocol, seed, 200);
+    const auto outcome = engine.run(spec, seed);
     if (!outcome.terminated) continue;
     // Recompute the final realization & partition and compare outputs
     // within classes at the decision round.
@@ -299,12 +302,11 @@ TEST(FaultProperty, DrawsArePureFunctionsOfSpecAndSeed) {
     Engine engine;
     engine.set_parallel({threads, 0});
     std::vector<int> expected;
-    engine.run_batch(spec,
-                     [&](const RunView& view, const ProtocolOutcome& outcome) {
-                       spec.faults.draw(4, view.seed, expected);
-                       EXPECT_EQ(outcome.crash_round, expected)
-                           << "seed " << view.seed << " threads " << threads;
-                     });
+    for (const RecordedRun& run : record_runs(engine, spec)) {
+      spec.faults.draw(4, run.seed, expected);
+      EXPECT_EQ(run.outcome.crash_round, expected)
+          << "seed " << run.seed << " threads " << threads;
+    }
   }
 }
 
@@ -385,10 +387,9 @@ TEST(FaultProperty, BackendsFaceTheSameAdversaryRunForRun) {
   Engine engine;
   auto schedules_of = [&engine](const Experiment& spec) {
     std::vector<std::vector<int>> schedules;
-    engine.run_batch(spec,
-                     [&](const RunView&, const ProtocolOutcome& outcome) {
-                       schedules.push_back(outcome.crash_round);
-                     });
+    for (const RecordedRun& run : record_runs(engine, spec)) {
+      schedules.push_back(run.outcome.crash_round);
+    }
     return schedules;
   };
   const auto a = schedules_of(knowledge);
@@ -437,8 +438,7 @@ TEST(SchedulerProperty, OutputIndependentOfThreadCount) {
   }
 }
 
-// A per-run outcome snapshot for byte-identity comparisons, keyed by seed
-// so the comparison is independent of observer delivery order.
+// A per-run outcome snapshot for byte-identity comparisons, keyed by seed.
 using OutcomeSnapshot =
     std::tuple<std::vector<std::int64_t>, std::vector<int>, int, bool,
                std::vector<int>>;
@@ -446,15 +446,13 @@ using OutcomeSnapshot =
 std::map<std::uint64_t, OutcomeSnapshot> snapshot_sweep(Engine& engine,
                                                         const Experiment& spec) {
   std::map<std::uint64_t, OutcomeSnapshot> out;
-  engine.run_batch(spec,
-                   [&](const RunView& view, const ProtocolOutcome& outcome) {
-                     out.emplace(view.seed,
-                                 OutcomeSnapshot{outcome.outputs,
-                                                 outcome.decision_round,
-                                                 outcome.rounds,
-                                                 outcome.terminated,
-                                                 outcome.crash_round});
-                   });
+  for (const RecordedRun& run : record_runs(engine, spec)) {
+    const ProtocolOutcome& outcome = run.outcome;
+    out.emplace(run.seed,
+                OutcomeSnapshot{outcome.outputs, outcome.decision_round,
+                                outcome.rounds, outcome.terminated,
+                                outcome.crash_round});
+  }
   return out;
 }
 
@@ -547,19 +545,17 @@ std::string join_values(const std::vector<T>& values) {
 /// crash schedule ("-" when fault-free).
 std::string golden_section(Engine& engine, const GoldenCase& c) {
   std::string out = std::string("# ") + c.name + "\n";
-  engine.run_batch(c.spec,
-                   [&](const RunView& view, const ProtocolOutcome& outcome) {
-                     out += std::to_string(view.seed) + " outputs=" +
-                            join_values(outcome.outputs) + " decided=" +
-                            join_values(outcome.decision_round) +
-                            " rounds=" + std::to_string(outcome.rounds) +
-                            " terminated=" +
-                            (outcome.terminated ? "1" : "0") + " crash=" +
-                            (outcome.crash_round.empty()
-                                 ? std::string("-")
-                                 : join_values(outcome.crash_round)) +
-                            "\n";
-                   });
+  for (const RecordedRun& run : record_runs(engine, c.spec)) {
+    const ProtocolOutcome& outcome = run.outcome;
+    out += std::to_string(run.seed) + " outputs=" +
+           join_values(outcome.outputs) + " decided=" +
+           join_values(outcome.decision_round) +
+           " rounds=" + std::to_string(outcome.rounds) + " terminated=" +
+           (outcome.terminated ? "1" : "0") + " crash=" +
+           (outcome.crash_round.empty() ? std::string("-")
+                                        : join_values(outcome.crash_round)) +
+           "\n";
+  }
   return out;
 }
 

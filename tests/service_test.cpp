@@ -343,11 +343,18 @@ TEST(Service, PartyBoundRejectsHugeLoadsAndTheDaemonSurvives) {
   // admission bound turns it into a named reject before anything is
   // allocated, and the session keeps answering.
   const Value rejected = Value::parse(client.request(submit_request(
-      "loads=1,100000000000,1\nprotocol=wait-for-singleton-LE\nseeds=0+4")));
+      "loads=1,100000000,1\nprotocol=wait-for-singleton-LE\nseeds=0+4")));
   EXPECT_EQ(rejected.find("type")->as_string(), "error");
   EXPECT_NE(rejected.find("reason")->as_string().find("party bound exceeded"),
             std::string::npos);
   EXPECT_EQ(server.stats().jobs_rejected, 1u);
+  // A load past int range never reaches the bound: the parser names it.
+  const Value unparsable = Value::parse(client.request(submit_request(
+      "loads=1,100000000000,1\nprotocol=wait-for-singleton-LE\nseeds=0+4")));
+  EXPECT_EQ(unparsable.find("type")->as_string(), "error");
+  EXPECT_NE(unparsable.find("reason")->as_string().find(
+                "key 'loads' wants an integer"),
+            std::string::npos);
   const Value pong = Value::parse(client.request("{\"op\":\"ping\"}"));
   EXPECT_EQ(pong.find("type")->as_string(), "pong");
   server.stop();
