@@ -11,7 +11,7 @@
 //  * shape checks: to bring every point's 95% CI half-width under the
 //    width a uniform sweep achieves, the adaptive schedule spends
 //    measurably fewer runs than the uniform sweep did; the schedule and
-//    results are byte-identical across threads x batch widths.
+//    results are byte-identical across threads x chunk sizes.
 //  * throughput rows: the adaptive sweep end to end and the equal-width
 //    uniform sweep, recorded to BENCH_adaptive_grid.json for the
 //    --baseline gate.
@@ -119,15 +119,15 @@ void report_adaptive_grid() {
         "budget (" + std::to_string(adaptive.runs_spent) + " / " +
             std::to_string(uniform_total) + ")");
 
-  // --- determinism across threads x batch ------------------------------
+  // --- determinism across threads x chunk ------------------------------
   {
     Engine parallel;
-    parallel.set_parallel({4, 0, 16});
+    parallel.set_parallel({4, 7});
     const auto replay =
         run_grid_adaptive(parallel, adaptive_grid, budget, config);
     check(replay.schedule == adaptive.schedule,
           "the adaptive schedule is a pure function of the declaration "
-          "(threads=4 batch=16 plans the same installments)");
+          "(threads=4 chunk=7 plans the same installments)");
     bool identical = replay.points.size() == adaptive.points.size();
     for (std::size_t p = 0; identical && p < replay.points.size(); ++p) {
       identical = replay.points[p].result == adaptive.points[p].result &&
@@ -135,7 +135,7 @@ void report_adaptive_grid() {
     }
     check(identical,
           "per-point stats and estimates are byte-identical across "
-          "threads x batch");
+          "threads x chunk");
   }
 
   // --- throughput rows (single-thread, for the --baseline gate) --------
@@ -190,7 +190,6 @@ BENCHMARK(BM_AllocateAdaptiveRuns)->Arg(16)->Arg(256);
 
 int main(int argc, char** argv) {
   rsb::bench::consume_baseline_flag(&argc, argv);
-  rsb::bench::consume_batch_flag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   report_adaptive_grid();

@@ -68,7 +68,7 @@ void report_orbit_dedup() {
   const Experiment spec = dedup_spec();
   Engine brute;
   Engine deduped;
-  deduped.set_parallel({1, 0, 1, /*orbit=*/true});
+  deduped.set_parallel({1, 0, /*orbit=*/true});
   const RunStats brute_stats = brute.run_batch(spec);
   const RunStats orbit_stats = deduped.run_batch(spec);
   check(brute_stats == orbit_stats,
@@ -94,7 +94,7 @@ void report_orbit_dedup() {
   const double orbit_rate =
       time_runs("orbit dedup clique-6 unique-string LE", kDedupSeeds, 1, [&] {
         Engine engine;
-        engine.set_parallel({1, 0, 1, /*orbit=*/true});
+        engine.set_parallel({1, 0, /*orbit=*/true});
         benchmark::DoNotOptimize(engine.run_batch(spec));
       });
   const double speedup = brute_rate > 0.0 ? orbit_rate / brute_rate : 0.0;
@@ -116,7 +116,7 @@ void report_orbit_dedup() {
       time_runs("identity path cyclic MP LE, orbit on", kIdentitySeeds, 1,
                 [&] {
                   Engine engine;
-                  engine.set_parallel({1, 0, 1, /*orbit=*/true});
+                  engine.set_parallel({1, 0, /*orbit=*/true});
                   benchmark::DoNotOptimize(engine.run_batch(identity));
                 });
   const double overhead = on_rate > 0.0 ? off_rate / on_rate : 0.0;
@@ -129,7 +129,7 @@ void BM_OrbitDedupSweep(benchmark::State& state) {
   const Experiment spec = dedup_spec();
   for (auto _ : state) {
     Engine engine;
-    engine.set_parallel({1, 0, 1, /*orbit=*/true});
+    engine.set_parallel({1, 0, /*orbit=*/true});
     benchmark::DoNotOptimize(engine.run_batch(spec));
   }
   state.SetItemsProcessed(state.iterations() *
@@ -152,7 +152,6 @@ BENCHMARK(BM_BruteForceSweep);
 
 int main(int argc, char** argv) {
   rsb::bench::consume_baseline_flag(&argc, argv);
-  rsb::bench::consume_batch_flag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   report_orbit_dedup();

@@ -52,17 +52,17 @@ class AnonymousProtocol {
   /// path, which is always sound.
   virtual bool knowledge_order_invariant() const { return false; }
 
-  /// Whole-round decision hook for the lockstep batched engine path:
-  /// fills verdicts[i] = decide(store, knowledge[i]) for every party at
-  /// once. `knowledge` must be the complete party vector produced by one
+  /// Whole-round decision hook for the engine's run kernel: fills
+  /// verdicts[i] = decide(store, knowledge[i]) for every party at once.
+  /// `knowledge` must be the complete party vector produced by one
   /// *fault-free* round operator (every entry stepped through the same
-  /// round — the engine falls back to per-party decide on faulty lanes);
+  /// round — the engine falls back to per-party decide on faulty runs);
   /// `scratch` is caller-owned reusable storage. The default loops the
   /// scalar decide; protocols whose rule ranges over the round's shared
   /// time-(t−1) multiset override this to compute that multiset once per
   /// round instead of once per party. Overrides must stay verdict-
-  /// identical to the scalar decide — the batched-vs-unbatched property
-  /// laws pin it.
+  /// identical to the scalar decide — the golden-fixture property laws
+  /// pin it.
   virtual void decide_all(
       const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
       std::vector<KnowledgeId>& scratch,
@@ -75,7 +75,7 @@ class AnonymousProtocol {
     kSome,         // verdicts filled for every party deciding this round
   };
 
-  /// Pre-round decision hook for the lockstep batched engine path. Some
+  /// Pre-round decision hook for the engine's run kernel. Some
   /// protocols' round-t verdicts are a function of the time-(t−1)
   /// knowledge alone: `knowledge` is the complete fault-free party vector
   /// about to be advanced, `sorted_prev` the same values sorted ascending
@@ -84,7 +84,7 @@ class AnonymousProtocol {
   /// round operator entirely, since once every survivor has decided the
   /// operator's output is unobservable. Overrides must agree verdict-for-
   /// verdict with decide on the post-round knowledge (pinned by the
-  /// batched-vs-unbatched property laws). The default opts out.
+  /// golden-fixture property laws). The default opts out.
   virtual RoundVerdicts decide_round_from_prev(
       const KnowledgeStore& store, std::span<const KnowledgeId> knowledge,
       std::span<const KnowledgeId> sorted_prev,

@@ -67,7 +67,7 @@ concept Collector =
 /// zero width. n = 0 reports the total-ignorance interval [0, 1].
 ///
 /// merge is plain counter addition — associative and commutative — so
-/// estimates are byte-identical across thread counts, batch widths, and
+/// estimates are byte-identical across thread counts, chunk sizes, and
 /// any shard split (pinned by tests/adaptive_grid_test.cpp).
 struct SuccessEstimate {
   std::uint64_t n = 0;          // runs observed

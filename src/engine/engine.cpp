@@ -39,15 +39,6 @@ constexpr std::uint64_t kAutoGranulesPerWorker = 8;
 /// keeps the chunk index safely within int for the shard observer.
 constexpr std::uint64_t kMaxChunksPerBatch = 4096;
 
-/// Rounds `chunk` up to a whole number of lockstep batches so a scheduling
-/// chunk claims full batches and only the sweep's final chunk can end in
-/// a shorter tail batch. Identity for batch <= 1.
-std::uint64_t align_to_batch(std::uint64_t chunk, int batch) {
-  const std::uint64_t b = static_cast<std::uint64_t>(std::max(batch, 1));
-  if (b <= 1) return chunk;
-  return (chunk + b - 1) / b * b;
-}
-
 std::uint64_t resolve_chunk(const ParallelConfig& config, std::uint64_t count,
                             int workers) {
   std::uint64_t chunk = config.chunk;
@@ -56,9 +47,8 @@ std::uint64_t resolve_chunk(const ParallelConfig& config, std::uint64_t count,
         static_cast<std::uint64_t>(workers) * kAutoGranulesPerWorker;
     chunk = std::max<std::uint64_t>(1, (count + granules - 1) / granules);
   }
-  chunk =
-      std::max(chunk, (count + kMaxChunksPerBatch - 1) / kMaxChunksPerBatch);
-  return align_to_batch(chunk, config.batch);
+  return std::max(chunk,
+                  (count + kMaxChunksPerBatch - 1) / kMaxChunksPerBatch);
 }
 
 /// The work-stealing chunk deque. Every worker starts owning a contiguous
@@ -158,71 +148,36 @@ PortPolicy provider_policy(const Experiment& spec) {
 /// Executes runs [begin, end) of `spec` through `ctx`, reporting each run
 /// to per_run(run_index, ports, outcome) in run-index order. `ports` must
 /// be positioned at `begin`; on return it is positioned at `end`.
-/// Agent-backend runs each build their own sim::Network. Knowledge-backend
-/// runs go through the lane kernel in windows of w = min(batch, end − i)
-/// runs: with an orbit table every candidate is probed against the memo
-/// first, only the misses execute (as one shorter batch), and each
-/// executed representative is inserted at its consumed-round level.
-/// Reporting stays in run-index order with the candidate's own wiring and
-/// crash draw, so per_run sees the same bytes whatever the window width or
-/// memo state.
+/// Agent-backend runs each build their own sim::Network; knowledge-backend
+/// runs go through run_prepared one at a time. With an orbit table each
+/// candidate is probed against the memo first, and only a miss executes —
+/// inserted at its consumed-round level. The wiring next() hands back
+/// stays valid until the following draw, so lookup, execute, insert and
+/// per_run all see the candidate's own wiring and crash draw.
 template <typename PerRun>
 void execute_range(RunContext& ctx, const Experiment& spec,
                    PortProvider& ports, std::uint64_t begin, std::uint64_t end,
-                   int batch, OrbitTable* orbit, const PerRun& per_run) {
-  if (spec.backend() != Experiment::Backend::kProtocol) {
-    for (std::uint64_t i = begin; i < end; ++i) {
-      const PortAssignment* assignment = ports.next();
-      per_run(i, assignment,
-              run_agent_prepared(ctx, spec, spec.seeds.first + i, assignment));
-    }
-    return;
-  }
-  BatchedRunContext& b = ctx.batched;
-  // Size the lane and probe columns before any pointer into them is taken.
-  const std::size_t width = static_cast<std::size_t>(
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(batch), end - begin));
-  if (b.lanes.size() < width) b.lanes.resize(width);
-  if (orbit != nullptr && ctx.orbit_probes.size() < width) {
-    ctx.orbit_probes.resize(width);
-  }
-  const bool copy_ports = spec.port_policy == PortPolicy::kRandomPerRun;
-  for (std::uint64_t i = begin; i < end;) {
-    const std::size_t w = static_cast<std::size_t>(
-        std::min<std::uint64_t>(width, end - i));
-    b.requests.clear();
-    for (std::size_t l = 0; l < w; ++l) {
-      const std::uint64_t seed = spec.seeds.first + i + l;
-      const PortAssignment* assignment = ports.next();
-      if (orbit != nullptr) {
-        OrbitProbe& probe = ctx.orbit_probes[l];
-        orbit->prepare(probe, seed, assignment);
-        if (orbit->lookup(probe)) continue;
-        assignment = probe.ports;
-      } else if (assignment != nullptr && copy_ports) {
-        // next() hands back a pointer into the provider's storage, which
-        // the next draw overwrites: park a copy in the lane.
-        BatchedRunContext::Lane& lane = b.lanes[b.requests.size()];
-        lane.ports_storage = *assignment;
-        assignment = &*lane.ports_storage;
-      }
-      b.requests.push_back({seed, assignment});
-    }
-    if (!b.requests.empty()) run_prepared_batch(ctx, spec, b.requests);
-    std::size_t miss = 0;
-    for (std::size_t l = 0; l < w; ++l) {
-      if (orbit != nullptr && ctx.orbit_probes[l].hit) {
-        const OrbitProbe& probe = ctx.orbit_probes[l];
-        per_run(i + l, probe.ports, probe.outcome);
+                   OrbitTable* orbit, const PerRun& per_run) {
+  const bool knowledge = spec.backend() == Experiment::Backend::kProtocol;
+  for (std::uint64_t i = begin; i < end; ++i) {
+    const std::uint64_t seed = spec.seeds.first + i;
+    const PortAssignment* assignment = ports.next();
+    if (!knowledge) {
+      per_run(i, assignment, run_agent_prepared(ctx, spec, seed, assignment));
+    } else if (orbit == nullptr) {
+      per_run(i, assignment, run_prepared(ctx, spec, seed, assignment));
+    } else {
+      OrbitProbe& probe = ctx.orbit_probe;
+      orbit->prepare(probe, seed, assignment);
+      if (orbit->lookup(probe)) {
+        per_run(i, assignment, probe.outcome);
         continue;
       }
-      const BatchedRunContext::Lane& lane = b.lanes[miss++];
-      if (orbit != nullptr) {
-        orbit->insert(ctx.orbit_probes[l], lane.outcome, lane.consumed);
-      }
-      per_run(i + l, lane.ports, lane.outcome);
+      const ProtocolOutcome& outcome =
+          run_prepared(ctx, spec, seed, assignment);
+      orbit->insert(probe, outcome, ctx.consumed);
+      per_run(i, assignment, outcome);
     }
-    i += w;
   }
 }
 
@@ -231,9 +186,6 @@ void execute_range(RunContext& ctx, const Experiment& spec,
 Engine& Engine::set_parallel(ParallelConfig config) {
   if (config.threads < 0) {
     throw InvalidArgument("ParallelConfig: threads must be >= 0");
-  }
-  if (config.batch < 1) {
-    throw InvalidArgument("ParallelConfig: batch must be >= 1");
   }
   parallel_ = config;
   return *this;
@@ -246,10 +198,9 @@ ProtocolOutcome Engine::run(const Experiment& spec, std::uint64_t seed) {
   if (spec.backend() != Experiment::Backend::kProtocol) {
     return run_agent_prepared(ctx_, spec, seed, ports.next());
   }
-  const LaneRequest request{seed, ports.next()};
-  run_prepared_batch(ctx_, spec, std::span<const LaneRequest>(&request, 1));
+  const ProtocolOutcome& outcome = run_prepared(ctx_, spec, seed, ports.next());
   store_high_water_ = std::max(store_high_water_, ctx_.store_high_water);
-  return ctx_.batched.lanes[0].outcome;
+  return outcome;
 }
 
 ProtocolOutcome Engine::run(const Experiment& spec) {
@@ -305,7 +256,7 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
     PortProvider ports(spec.model, provider_policy(spec), spec.fixed_ports,
                        spec.config, spec.port_seed);
     if (stream_offset != 0) ports.skip_to(stream_offset);
-    execute_range(ctx_, spec, ports, 0, count, parallel_.batch, orbit,
+    execute_range(ctx_, spec, ports, 0, count, orbit,
                   [&](std::uint64_t i, const PortAssignment* assignment,
                       const ProtocolOutcome& outcome) {
                     observe(0, RunView{spec.seeds.first + i, i, assignment,
@@ -333,9 +284,7 @@ void Engine::drive(const Experiment& spec, std::uint64_t stream_offset,
       const std::uint64_t begin = c * chunk;
       const std::uint64_t end = std::min(begin + chunk, count);
       ports.skip_to(stream_offset + begin);
-      // Chunks are batch-aligned (resolve_chunk), so only the sweep's
-      // final chunk can end in a shorter tail batch.
-      execute_range(ctx, spec, ports, begin, end, parallel_.batch, orbit,
+      execute_range(ctx, spec, ports, begin, end, orbit,
                     [&](std::uint64_t i, const PortAssignment* assignment,
                         const ProtocolOutcome& outcome) {
                       observe(static_cast<int>(c),

@@ -1,15 +1,15 @@
-// The experiment engine: batched execution of declarative specs.
+// The experiment engine: sweep execution of declarative specs.
 //
 // An Engine drives sweeps of (spec, seed) runs. The mutable scratch state a
-// run needs — per-lane KnowledgeStore intern tables and coin engines —
-// lives in a RunContext (engine/run_context.hpp); the engine owns one
-// context for serial work and hands every worker of a parallel batch its
-// own, reusing allocations across all runs of a batch either way. Every
-// knowledge-backend run, single runs included, executes in the one lane
-// kernel (run_prepared_batch); agent-backend runs each build a
-// sim::Network. A reset store hands out ids in the same insertion order as
-// a fresh one, so Engine results equal a fresh per-run recursion through
-// the allocating round operators for equal (spec, seed) — a guarantee the
+// run needs — the KnowledgeStore intern table and coin engines — lives in
+// a RunContext (engine/run_context.hpp); the engine owns one context for
+// serial work and hands every worker of a parallel batch its own, reusing
+// allocations across all runs of a batch either way. Every
+// knowledge-backend run, single runs included, executes in the one run
+// kernel (run_prepared); agent-backend runs each build a sim::Network. A
+// reset store hands out ids in the same insertion order as a fresh one,
+// so Engine results equal a fresh per-run recursion through the
+// allocating round operators for equal (spec, seed) — a guarantee the
 // engine tests assert — and are pinned run for run by
 // tests/golden/knowledge_outcomes.txt.
 //
@@ -66,14 +66,6 @@ namespace rsb {
 struct ParallelConfig {
   int threads = 1;          // worker count; 1 = serial, 0 = all hardware
   std::uint64_t chunk = 0;  // runs per scheduling chunk; 0 = auto
-  /// Lanes per lockstep batch on the knowledge backend: a sweep executes
-  /// B runs of the spec per instruction stream through the lane kernel
-  /// (engine/run_context.hpp, BatchedRunContext) — scheduling chunks are
-  /// rounded up to whole batches, and a chunk's tail runs as one shorter
-  /// batch. Agent-backend specs ignore it. Results are byte-identical for
-  /// every batch size (pinned by the property laws); the knob only trades
-  /// locality for lane-state memory. 1 = one lane.
-  int batch = 1;
   /// Orbit-level run deduplication (engine/orbit.hpp): when true, sweeps
   /// of symmetry-eligible specs execute one run per initial-configuration
   /// orbit and replicate the outcome across the orbit with the relabeling
@@ -81,7 +73,7 @@ struct ParallelConfig {
   /// every collector (pinned by tests/orbit_test.cpp); ineligible specs —
   /// fixed/cyclic/adversarial wirings, agent backends, topologies — take
   /// the identity path and never pay for a table. Purely an execution-
-  /// strategy knob, like batch.
+  /// strategy knob, like chunk.
   bool orbit = false;
 };
 
@@ -90,7 +82,7 @@ class Engine {
   Engine() = default;
 
   /// Sets the scheduling policy for subsequent batches. Returns *this for
-  /// chaining; throws InvalidArgument on threads < 0 or batch < 1.
+  /// chaining; throws InvalidArgument on threads < 0.
   Engine& set_parallel(ParallelConfig config);
 
   /// Shorthand for set_parallel({threads, 0}).
@@ -134,7 +126,7 @@ class Engine {
   /// past the spec's declared count (the declared range is the default
   /// query, not a hard bound — grid-level callers enforce their own
   /// caps). All run_collect guarantees (byte-identity across threads ×
-  /// batch widths) carry over unchanged.
+  /// chunk sizes) carry over unchanged.
   template <Collector C>
   C run_collect_range(const Experiment& spec, SeedRange range, C collector) {
     if (range.first < spec.seeds.first) {
@@ -198,9 +190,9 @@ class Engine {
   /// The scheduling core shared by every sweep entry point: cuts the sweep
   /// into chunks of consecutive runs, lets workers claim them through the
   /// work-stealing deque, repositions each worker's port provider
-  /// draw-for-draw with the serial sweep, executes runs through the lane
-  /// kernel (knowledge backend) or run_agent_prepared (agent backend), and
-  /// reports each run into its chunk's shard. Does not
+  /// draw-for-draw with the serial sweep, executes runs through
+  /// run_prepared (knowledge backend) or run_agent_prepared (agent
+  /// backend), and reports each run into its chunk's shard. Does not
   /// validate the spec. `stream_offset` is the number of port-stream runs
   /// consumed before this sweep's run 0 — 0 for a full sweep, and the
   /// resumed range's distance from the declaring spec's first seed for

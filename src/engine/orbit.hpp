@@ -22,7 +22,7 @@
 // nonempty levels in ascending r; the first match wins, and the cached
 // outcome is replicated back through the candidate's own ranks — the
 // result is byte-identical to executing the candidate, the load-bearing
-// law pinned by tests/orbit_test.cpp across threads x batch widths on
+// law pinned by tests/orbit_test.cpp across threads x chunk sizes on
 // both canonicalizers, crash-fault sweeps included.
 //
 // Why first-match-ascending is sound: a match at level r means the
@@ -31,12 +31,12 @@
 // halting behavior (the run is an equivariant function of the prefix), so
 // the candidate's own run would consume exactly the same r rounds — a
 // level-r entry can only ever match candidates whose true consumption is
-// r. Every run executes in the one lane kernel (engine/run_context.hpp),
-// whose pre-round hook may skip a final round whose bits are unobservable
-// (decide_round_from_prev proves the round-(t+1) verdicts are a function
-// of the time-t state); consumption, and so the memo level, is therefore
-// a function of the configuration alone, never of batch width or thread
-// count.
+// r. Every run executes in the one run kernel (engine/run_context.hpp,
+// run_prepared), whose pre-round hook may skip a final round whose bits
+// are unobservable (decide_round_from_prev proves the round-(t+1)
+// verdicts are a function of the time-t state); consumption, and so the
+// memo level, is therefore a function of the configuration alone, never
+// of chunking or thread count.
 //
 // Safe-group detection: the group the table may quotient by depends on
 // the protocol, not just the model. A protocol's decide() is a pure
@@ -100,7 +100,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -111,18 +110,14 @@
 namespace rsb {
 
 /// Worker-local scratch for one candidate run: the replayed coin columns,
-/// crash schedule, wiring copy, canonicalization buffers, and — on a hit —
-/// the replicated outcome. Reused across candidates; owned by RunContext.
+/// crash schedule, canonicalization buffers, and — on a hit — the
+/// replicated outcome. Reused across candidates; owned by RunContext.
 struct OrbitProbe {
-  std::uint64_t seed = 0;
-  /// The candidate's wiring, stable for the caller: points into
-  /// ports_copy under kRandomPerRun (the provider's storage is transient),
-  /// null on the blackboard.
+  /// The candidate's wiring (null on the blackboard). Borrowed: the caller
+  /// keeps it valid from prepare() through insert().
   const PortAssignment* ports = nullptr;
-  std::optional<PortAssignment> ports_copy;
   bool faulty = false;
-  bool hit = false;
-  ProtocolOutcome outcome;  // the replicated outcome, valid when hit
+  ProtocolOutcome outcome;  // the replicated outcome, valid after a hit
 
   // --- internals managed by OrbitTable --------------------------------
   std::vector<Xoshiro256StarStar> coins;     // per-source replay engines
@@ -159,8 +154,7 @@ class OrbitTable {
 
   /// Loads the candidate (seed, wiring) into the probe: draws the crash
   /// schedule (pure in (spec, seed)), seeds the per-source replay engines,
-  /// and stabilizes the wiring pointer. `assignment` may point into
-  /// transient provider storage; it is copied when the policy demands.
+  /// and borrows the wiring, which must stay valid through insert().
   void prepare(OrbitProbe& probe, std::uint64_t seed,
                const PortAssignment* assignment) const;
 

@@ -7,167 +7,134 @@
 
 namespace rsb {
 
-void run_prepared_batch(RunContext& ctx, const Experiment& spec,
-                        std::span<const LaneRequest> requests) {
+const ProtocolOutcome& run_prepared(RunContext& ctx, const Experiment& spec,
+                                    std::uint64_t seed,
+                                    const PortAssignment* ports) {
   const int n = spec.config.num_parties();
   const int sources = spec.config.num_sources();
-  const int lanes = static_cast<int>(requests.size());
-  BatchedRunContext& batch = ctx.batched;
-  if (batch.lanes.size() < static_cast<std::size_t>(lanes)) {
-    batch.lanes.resize(static_cast<std::size_t>(lanes));
+  ctx.store.reset();
+  ctx.knowledge.assign(static_cast<std::size_t>(n), ctx.store.bottom());
+  ctx.coins.clear();
+  for (int source = 0; source < sources; ++source) {
+    ctx.coins.emplace_back(
+        derive_seed(seed, static_cast<std::uint64_t>(source)));
   }
-  batch.source_bits.resize(static_cast<std::size_t>(sources));
-
-  int live = lanes;
-  for (int l = 0; l < lanes; ++l) {
-    BatchedRunContext::Lane& lane = batch.lanes[static_cast<std::size_t>(l)];
-    const std::uint64_t seed = requests[static_cast<std::size_t>(l)].seed;
-    lane.store.reset();
-    lane.knowledge.assign(static_cast<std::size_t>(n), lane.store.bottom());
-    lane.coins.clear();
-    for (int source = 0; source < sources; ++source) {
-      lane.coins.emplace_back(
-          derive_seed(seed, static_cast<std::uint64_t>(source)));
-    }
-    spec.faults.draw(n, seed, lane.crash_round);
-    lane.faulty = !lane.crash_round.empty();
-    // Reset the outcome field by field — a fresh ProtocolOutcome would
-    // deallocate the lane's vectors every batch.
-    lane.outcome.terminated = false;
-    lane.outcome.rounds = 0;
-    lane.outcome.outputs.assign(static_cast<std::size_t>(n), 0);
-    lane.outcome.decision_round.assign(static_cast<std::size_t>(n), -1);
-    lane.outcome.crash_round.clear();
-    lane.undecided = n;
-    lane.consumed = 0;
-    lane.done = false;
-    lane.ports = requests[static_cast<std::size_t>(l)].ports;
-  }
+  ctx.source_bits.resize(static_cast<std::size_t>(sources));
+  spec.faults.draw(n, seed, ctx.crash_round);
+  const bool faulty = !ctx.crash_round.empty();
+  // Reset the outcome field by field — a fresh ProtocolOutcome would
+  // deallocate the context's vectors every run.
+  ProtocolOutcome& outcome = ctx.outcome;
+  outcome.terminated = false;
+  outcome.rounds = 0;
+  outcome.outputs.assign(static_cast<std::size_t>(n), 0);
+  outcome.decision_round.assign(static_cast<std::size_t>(n), -1);
+  outcome.crash_round.clear();
+  int undecided = n;
+  ctx.consumed = 0;
 
   const AnonymousProtocol& protocol = *spec.protocol;
   const std::vector<int>& source_of = spec.config.source_of_party();
   std::vector<bool>& bits = ctx.bits;
   bits.resize(static_cast<std::size_t>(n));
-  for (int round = 1; round <= spec.max_rounds && live > 0; ++round) {
-    for (int l = 0; l < lanes; ++l) {
-      BatchedRunContext::Lane& lane = batch.lanes[static_cast<std::size_t>(l)];
-      if (lane.done) continue;
-      if (lane.faulty) {
-        for (int party = 0; party < n; ++party) {
-          if (lane.crash_round[static_cast<std::size_t>(party)] == round &&
-              lane.outcome.decision_round[static_cast<std::size_t>(party)] <
-                  0) {
-            --lane.undecided;
-          }
-        }
-        if (lane.undecided == 0) {
-          lane.done = true;
-          --live;
-          continue;
+  for (int round = 1; round <= spec.max_rounds && undecided > 0; ++round) {
+    if (faulty) {
+      for (int party = 0; party < n; ++party) {
+        if (ctx.crash_round[static_cast<std::size_t>(party)] == round &&
+            outcome.decision_round[static_cast<std::size_t>(party)] < 0) {
+          --undecided;
         }
       }
-      // One draw per source per executed round — exactly the SourceBank's
-      // lazy extension — then fan the source bits out over the parties.
-      const auto draw_bits = [&] {
-        ++lane.consumed;
-        for (int source = 0; source < sources; ++source) {
-          batch.source_bits[static_cast<std::size_t>(source)] =
-              lane.coins[static_cast<std::size_t>(source)].next_bit() ? 1 : 0;
-        }
-        for (int party = 0; party < n; ++party) {
-          bits[static_cast<std::size_t>(party)] =
-              batch.source_bits[static_cast<std::size_t>(
-                  source_of[static_cast<std::size_t>(party)])] != 0;
-        }
-      };
-      const auto apply_verdicts = [&] {
-        for (int party = 0; party < n; ++party) {
-          const std::size_t p = static_cast<std::size_t>(party);
-          if (lane.outcome.decision_round[p] >= 0) continue;
-          if (batch.verdicts[p].has_value()) {
-            lane.outcome.outputs[p] = *batch.verdicts[p];
-            lane.outcome.decision_round[p] = round;
-            --lane.undecided;
-            lane.outcome.rounds = round;
-          }
-        }
-      };
-      auto pre = AnonymousProtocol::RoundVerdicts::kUnsupported;
-      if (!lane.faulty) {
-        // The round-t verdicts of some protocols are a function of the
-        // time-(t−1) multiset alone, which pre-round is simply the sorted
-        // knowledge vector (fault-free whole-round contract). Ask first:
-        // when every party decides before the round executes, the round
-        // operator's output — and this round's coin draws — are
-        // unobservable, so the lane finishes without paying for either
-        // (per-lane coins make the unconsumed draws invisible to every
-        // other run). The sorted vector doubles as the blackboard round
-        // operator's shared multiset.
-        batch.sorted_prev.assign(lane.knowledge.begin(), lane.knowledge.end());
-        std::sort(batch.sorted_prev.begin(), batch.sorted_prev.end());
-        pre = protocol.decide_round_from_prev(
-            lane.store, lane.knowledge, batch.sorted_prev, batch.verdicts);
-        if (pre == AnonymousProtocol::RoundVerdicts::kSome) {
-          apply_verdicts();
-          if (lane.undecided == 0) {
-            lane.done = true;
-            --live;
-            continue;
-          }
+      if (undecided == 0) break;
+    }
+    const auto apply_verdicts = [&] {
+      for (int party = 0; party < n; ++party) {
+        const std::size_t p = static_cast<std::size_t>(party);
+        if (outcome.decision_round[p] >= 0) continue;
+        if (ctx.verdicts[p].has_value()) {
+          outcome.outputs[p] = *ctx.verdicts[p];
+          outcome.decision_round[p] = round;
+          --undecided;
+          outcome.rounds = round;
         }
       }
-      draw_bits();
-      // A fault-free lane's crash column is empty; a faulty lane lets the
-      // blackboard operator sort its survivors itself.
-      if (spec.model == Model::kBlackboard) {
-        blackboard_round_inplace(
-            lane.store, lane.knowledge, bits, lane.crash_round, round,
-            ctx.round_scratch,
-            lane.faulty ? std::span<const KnowledgeId>() : batch.sorted_prev);
-      } else {
-        message_round_inplace(lane.store, lane.knowledge, bits, *lane.ports,
-                              spec.variant, lane.crash_round, round,
-                              ctx.round_scratch);
-      }
-      if (lane.faulty) {
-        for (int party = 0; party < n; ++party) {
-          const std::size_t p = static_cast<std::size_t>(party);
-          const int crash = lane.crash_round[p];
-          if (lane.outcome.decision_round[p] >= 0 ||
-              (crash >= 0 && round >= crash)) {
-            continue;
-          }
-          const auto verdict = protocol.decide(lane.store, lane.knowledge[p]);
-          if (verdict.has_value()) {
-            lane.outcome.outputs[p] = *verdict;
-            lane.outcome.decision_round[p] = round;
-            --lane.undecided;
-            lane.outcome.rounds = round;
-          }
-        }
-      } else if (pre == AnonymousProtocol::RoundVerdicts::kUnsupported) {
-        // A fault-free lane's vector is the complete output of one round
-        // operator — the decide_all contract — so the protocol can share
-        // per-round work across parties (decide is pure, so computing a
-        // verdict for an already-decided party is harmless). kNone/kSome:
-        // the hook already produced this round's complete verdict set, so
-        // there is nothing to decide post-round.
-        protocol.decide_all(lane.store, lane.knowledge, batch.decide_scratch,
-                            batch.verdicts);
+    };
+    auto pre = AnonymousProtocol::RoundVerdicts::kUnsupported;
+    if (!faulty) {
+      // The round-t verdicts of some protocols are a function of the
+      // time-(t−1) multiset alone, which pre-round is simply the sorted
+      // knowledge vector (fault-free whole-round contract). Ask first:
+      // when every party decides before the round executes, the round
+      // operator's output — and this round's coin draws — are
+      // unobservable, so the run finishes without paying for either
+      // (per-run coins make the unconsumed draws invisible to every other
+      // run). The sorted vector doubles as the blackboard round
+      // operator's shared multiset.
+      ctx.sorted_prev.assign(ctx.knowledge.begin(), ctx.knowledge.end());
+      std::sort(ctx.sorted_prev.begin(), ctx.sorted_prev.end());
+      pre = protocol.decide_round_from_prev(ctx.store, ctx.knowledge,
+                                            ctx.sorted_prev, ctx.verdicts);
+      if (pre == AnonymousProtocol::RoundVerdicts::kSome) {
         apply_verdicts();
-      }
-      if (lane.undecided == 0) {
-        lane.done = true;
-        --live;
+        if (undecided == 0) break;
       }
     }
+    // One draw per source per executed round — exactly the SourceBank's
+    // lazy extension — then fan the source bits out over the parties.
+    ++ctx.consumed;
+    for (int source = 0; source < sources; ++source) {
+      ctx.source_bits[static_cast<std::size_t>(source)] =
+          ctx.coins[static_cast<std::size_t>(source)].next_bit() ? 1 : 0;
+    }
+    for (int party = 0; party < n; ++party) {
+      bits[static_cast<std::size_t>(party)] =
+          ctx.source_bits[static_cast<std::size_t>(
+              source_of[static_cast<std::size_t>(party)])] != 0;
+    }
+    // A fault-free run's crash column is empty; a faulty run lets the
+    // blackboard operator sort its survivors itself.
+    if (spec.model == Model::kBlackboard) {
+      blackboard_round_inplace(
+          ctx.store, ctx.knowledge, bits, ctx.crash_round, round,
+          ctx.round_scratch,
+          faulty ? std::span<const KnowledgeId>() : ctx.sorted_prev);
+    } else {
+      message_round_inplace(ctx.store, ctx.knowledge, bits, *ports,
+                            spec.variant, ctx.crash_round, round,
+                            ctx.round_scratch);
+    }
+    if (faulty) {
+      for (int party = 0; party < n; ++party) {
+        const std::size_t p = static_cast<std::size_t>(party);
+        const int crash = ctx.crash_round[p];
+        if (outcome.decision_round[p] >= 0 ||
+            (crash >= 0 && round >= crash)) {
+          continue;
+        }
+        const auto verdict = protocol.decide(ctx.store, ctx.knowledge[p]);
+        if (verdict.has_value()) {
+          outcome.outputs[p] = *verdict;
+          outcome.decision_round[p] = round;
+          --undecided;
+          outcome.rounds = round;
+        }
+      }
+    } else if (pre == AnonymousProtocol::RoundVerdicts::kUnsupported) {
+      // A fault-free run's vector is the complete output of one round
+      // operator — the decide_all contract — so the protocol can share
+      // per-round work across parties (decide is pure, so computing a
+      // verdict for an already-decided party is harmless). kNone/kSome:
+      // the hook already produced this round's complete verdict set, so
+      // there is nothing to decide post-round.
+      protocol.decide_all(ctx.store, ctx.knowledge, ctx.decide_scratch,
+                          ctx.verdicts);
+      apply_verdicts();
+    }
   }
-  for (int l = 0; l < lanes; ++l) {
-    BatchedRunContext::Lane& lane = batch.lanes[static_cast<std::size_t>(l)];
-    lane.outcome.terminated = lane.undecided == 0;
-    if (lane.faulty) lane.outcome.crash_round = lane.crash_round;
-    ctx.store_high_water = std::max(ctx.store_high_water, lane.store.size());
-  }
+  outcome.terminated = undecided == 0;
+  if (faulty) outcome.crash_round = ctx.crash_round;
+  ctx.store_high_water = std::max(ctx.store_high_water, ctx.store.size());
+  return outcome;
 }
 
 ProtocolOutcome run_agent_prepared(RunContext& ctx, const Experiment& spec,

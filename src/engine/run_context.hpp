@@ -1,27 +1,22 @@
 // Per-worker mutable state and the free-standing run functions.
 //
-// A RunContext is everything a worker's runs mutate — the lane kernel's
-// structure-of-arrays state (per-lane KnowledgeStore intern tables, coin
-// engines, knowledge columns), round and decide scratch, the agent
-// backend's payload arena, and the store high-water diagnostic. It is a
-// plain value: the Engine owns one for serial sweeps and single runs, and
-// the parallel scheduler gives every worker its own, so any worker can
-// execute any (spec, seed) pair independently.
+// A RunContext is everything a worker's runs mutate — the knowledge
+// kernel's per-run state (the KnowledgeStore intern table, coin engines,
+// knowledge and crash columns, the outcome), round and decide scratch,
+// the agent backend's payload arena, and the store high-water diagnostic.
+// It is a plain value: the Engine owns one for serial sweeps and single
+// runs, and the parallel scheduler gives every worker its own, so any
+// worker can execute any (spec, seed) pair independently.
 //
-// Every knowledge-backend run goes through one kernel, run_prepared_batch:
-// a sweep window of B runs executes as B lockstep lanes, a single run
-// (Engine::run, batch = 1, a chunk's tail) as a shorter batch of one or
-// more lanes. The determinism contract (DESIGN.md, "Concurrency model"):
-// each lane's outcome is a pure function of (spec, seed, ports) — lanes
-// recycle allocations, never state, because every lane's store, coins and
-// columns are reset at the top of each batch. KnowledgeIds are lane-local:
-// an id produced in one lane must never be compared with, or looked up
-// in, another lane's store.
+// Every knowledge-backend run goes through one kernel, run_prepared, one
+// run at a time. The determinism contract (DESIGN.md, "Concurrency
+// model"): each run's outcome is a pure function of (spec, seed, ports) —
+// runs recycle allocations, never state, because the store, coins and
+// columns are reset at the top of every run.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "engine/experiment.hpp"
@@ -33,85 +28,54 @@
 
 namespace rsb {
 
-/// One lane's worth of input to run_prepared_batch: the run seed plus its
-/// port wiring (null on the blackboard).
-struct LaneRequest {
-  std::uint64_t seed = 0;
-  const PortAssignment* ports = nullptr;
-};
-
-/// Structure-of-arrays state of the lane kernel (run_prepared_batch): B
-/// lanes of one spec advance through a shared round schedule, each lane
-/// owning exactly the per-run state that determines ids and outcomes —
-/// its KnowledgeStore (ids are store-local, so lanes can never share one),
-/// knowledge column, raw coin engines, and crash schedule. Round scratch
-/// and the decision buffers are shared across lanes: a round operator
-/// finishes with one lane before the next lane starts, and every shared
-/// buffer is overwritten at entry, so nothing leaks between lanes (every
-/// width reproduces tests/golden/knowledge_outcomes.txt run for run —
-/// property laws 14-15).
-struct BatchedRunContext {
-  struct Lane {
-    KnowledgeStore store;
-    std::vector<KnowledgeId> knowledge;
-    std::vector<int> crash_round;
-    /// One raw engine per source, seeded like the SourceBank's: drawing
-    /// one next_bit per source per executed round replays the bank's
-    /// stream draw-for-draw (the bank extends all sources by one bit per
-    /// round), without the bank's emitted-history buffers.
-    std::vector<Xoshiro256StarStar> coins;
-    std::optional<PortAssignment> ports_storage;  // kRandomPerRun copy
-    const PortAssignment* ports = nullptr;
-    ProtocolOutcome outcome;
-    int undecided = 0;
-    /// Rounds of source bits this lane drew — the run's consumed-prefix
-    /// length, the level an orbit memo entry lives at (engine/orbit.hpp).
-    int consumed = 0;
-    bool faulty = false;
-    bool done = false;
-  };
-  std::vector<Lane> lanes;
-  /// Scratch for the sweep loop's span of lane inputs; with orbit dedup
-  /// on it holds only the lookup misses.
-  std::vector<LaneRequest> requests;
-  std::vector<unsigned char> source_bits;  // per-round per-source scratch
-  std::vector<std::optional<std::int64_t>> verdicts;  // decide_all output
-  std::vector<KnowledgeId> decide_scratch;            // decide_all scratch
-  // Sorted copy of a lane's pre-round knowledge vector: input to the
-  // protocol's pre-round decision hook (decide_round_from_prev) and, on
-  // the blackboard, the round operator's shared multiset — one sort per
-  // lane-round serves both.
-  std::vector<KnowledgeId> sorted_prev;
-};
-
 /// The scratch state of one worker. Default-constructed contexts are
 /// ready to use; reuse across runs amortizes all allocations.
 struct RunContext {
-  std::size_t store_high_water = 0;  // peak lane-store size seen so far
-  std::vector<bool> bits;           // per-round party-bit scratch
-  std::vector<int> crash_round;     // agent-backend fault-draw scratch
-  RoundScratch round_scratch;       // in-place round-operator buffers
-  BatchedRunContext batched;        // lane-kernel state (run_prepared_batch)
-  std::vector<OrbitProbe> orbit_probes;  // per-lane dedup scratch
-  sim::PayloadArena arena;          // agent-backend payload pool (lent to
-                                    // each run's sim::Network)
+  // Per-run state of the knowledge kernel (run_prepared), reset at the
+  // top of every run.
+  KnowledgeStore store;
+  std::vector<KnowledgeId> knowledge;
+  /// The run's crash schedule (empty when fault-free); the agent backend
+  /// reuses it as fault-draw scratch.
+  std::vector<int> crash_round;
+  /// One raw engine per source, seeded like the SourceBank's: drawing one
+  /// next_bit per source per executed round replays the bank's stream
+  /// draw-for-draw (the bank extends all sources by one bit per round),
+  /// without the bank's emitted-history buffers.
+  std::vector<Xoshiro256StarStar> coins;
+  ProtocolOutcome outcome;
+  /// Rounds of source bits the last run drew — its consumed-prefix
+  /// length, the level an orbit memo entry lives at (engine/orbit.hpp).
+  int consumed = 0;
+
+  // Round and decide scratch, overwritten at entry by every user.
+  std::vector<unsigned char> source_bits;  // per-round per-source bits
+  std::vector<bool> bits;                  // per-round party bits
+  std::vector<std::optional<std::int64_t>> verdicts;  // decide_all output
+  std::vector<KnowledgeId> decide_scratch;            // decide_all scratch
+  // Sorted copy of the pre-round knowledge vector: input to the
+  // protocol's pre-round decision hook (decide_round_from_prev) and, on
+  // the blackboard, the round operator's shared multiset — one sort per
+  // round serves both.
+  std::vector<KnowledgeId> sorted_prev;
+  RoundScratch round_scratch;  // in-place round-operator buffers
+
+  OrbitProbe orbit_probe;    // orbit-dedup scratch for the current run
+  sim::PayloadArena arena;   // agent-backend payload pool (lent to each
+                             // run's sim::Network)
+  std::size_t store_high_water = 0;  // peak store size seen so far
 };
 
-/// The knowledge-backend kernel: the runs described by `requests`
-/// executed in lockstep over ctx.batched — requests[l] drives
-/// ctx.batched.lanes[l], and one shared round loop advances every live
-/// lane through the same instruction stream. Any number of lanes >= 1 is
-/// valid; a single run is a one-lane batch. Each lane's outcome
-/// (ctx.batched.lanes[l].outcome) is a pure function of (spec, seed,
-/// ports), independent of the batch's width and of its other lanes. Under
-/// a fault plan a lane's crash schedule is drawn from the plan's per-run
-/// seed stream and reported back in the outcome's crash_round. A lane's
-/// `ports` must be non-null iff the spec is message passing and stay
-/// valid for the whole call — callers point into storage they own (lane
-/// ports_storage, an OrbitProbe's wiring copy, or a PortProvider's
-/// run-invariant assignment).
-void run_prepared_batch(RunContext& ctx, const Experiment& spec,
-                        std::span<const LaneRequest> requests);
+/// The knowledge-backend kernel: one run of `spec` at `seed` over ctx's
+/// per-run state. The outcome (returned; it lives in ctx.outcome until
+/// the next run) is a pure function of (spec, seed, ports). Under a fault
+/// plan the crash schedule is drawn from the plan's per-run seed stream
+/// and reported back in the outcome's crash_round. `ports` must be
+/// non-null iff the spec is message passing, and only needs to stay valid
+/// for the call — a PortProvider's next() pointer qualifies.
+const ProtocolOutcome& run_prepared(RunContext& ctx, const Experiment& spec,
+                                    std::uint64_t seed,
+                                    const PortAssignment* ports);
 
 /// One agent-level run of `spec` at `seed` through a fresh sim::Network,
 /// under the spec's scheduler and fault plan. The network owns its own

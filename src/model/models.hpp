@@ -92,7 +92,7 @@ struct RoundScratch {
 ///
 /// The survivor multiset is canonicalized once per round, not once per
 /// party: `sorted_alive` is the caller's sorted copy of the alive previous
-/// values (the lane kernel already sorts them for its pre-round decision
+/// values (the run kernel already sorts them for its pre-round decision
 /// hook), or empty to let the operator sort them into scratch itself. A
 /// party's step value is then a function of its own (prev, bit) alone, so
 /// a per-round memo skips repeat probes — they would have been no-op

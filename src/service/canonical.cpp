@@ -207,8 +207,10 @@ CanonicalSpec CanonicalSpec::parse(const std::string& text) {
             "spec: pilot must be >= 1 (omit the key for the default)");
       }
     } else if (key == "batch") {
-      spec.batch = parse_int(value, key);
-      if (spec.batch < 0) {
+      // Accepted for compatibility, ignored: the key once picked a
+      // lockstep execution width, which no longer exists. The value is
+      // still checked, so malformed client specs keep failing by name.
+      if (parse_int(value, key) < 0) {
         throw InvalidArgument("spec: batch must be >= 0, got " + value);
       }
     } else if (key == "orbit") {
@@ -289,9 +291,9 @@ std::string CanonicalSpec::canonical_text() const {
   // Every pair whose value differs from the default, keys sorted (the
   // kKeys order), one per line. Inert knobs — a port seed under a
   // non-random policy, fault fields with zero crashes, a sched seed under
-  // a non-random scheduler, `batch` and `orbit` always (batched and
-  // orbit-deduplicated execution are byte-identical to the plain sweep,
-  // so neither knob changes any result), and `adaptive-budget`/`pilot`
+  // a non-random scheduler, `batch` (accepted and ignored) and `orbit`
+  // always (orbit-deduplicated execution is byte-identical to the plain
+  // sweep, so the knob changes no result), and `adaptive-budget`/`pilot`
   // always (adaptive sweeps execute a subset of the same pure
   // (spec, chunk) shards, so the knobs change which chunks run, never any
   // chunk's bytes) — are normalized away: they cannot change any run, so

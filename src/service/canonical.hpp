@@ -76,26 +76,19 @@ struct CanonicalSpec {
   int fault_crashes = 0;
   int fault_window = 8;
   std::uint64_t fault_seed = 0xfa017ULL;
-  /// Lockstep batch width the submitter would like the executor to use
-  /// (ParallelConfig::batch); 0 = leave it to the daemon's default. Purely
-  /// an execution-strategy knob: batched results are byte-identical to
-  /// unbatched, so `batch` is normalized out of canonical_text() and the
-  /// spec hash — two requests differing only in batch are the same
-  /// ensemble and share cache shards.
-  int batch = 0;
   /// Orbit-level run deduplication preference ("on" | "off"); "" = leave
-  /// it to the daemon's default. Like `batch`, purely an
-  /// execution-strategy knob: the orbit pass replicates canonical-
-  /// representative outcomes so the merged results are byte-identical to
-  /// the brute-force sweep (pinned by tests/orbit_test.cpp), so `orbit`
-  /// is normalized out of canonical_text() and the spec hash — requests
-  /// differing only in orbit share cache shards.
+  /// it to the daemon's default. Purely an execution-strategy knob: the
+  /// orbit pass replicates canonical-representative outcomes so the
+  /// merged results are byte-identical to the brute-force sweep (pinned
+  /// by tests/orbit_test.cpp), so `orbit` is normalized out of
+  /// canonical_text() and the spec hash — requests differing only in
+  /// orbit share cache shards.
   std::string orbit;
   /// Total adaptive run budget across every point of the request
   /// (engine/grid.hpp, run_grid_adaptive); 0 = uniform sweep (every point
   /// runs its full seed range). When set, the daemon pilots each point
   /// with `pilot` runs and grows the widest-CI points in rounds, capping
-  /// each point at its seeds count. Like `batch`, this is an
+  /// each point at its seeds count. Like `orbit`, this is an
   /// execution-strategy knob normalized out of canonical_text() and the
   /// hash: adaptive sweeps execute pure (spec, seed-range) shards keyed
   /// under the same spec hash a uniform sweep uses, so adaptive and

@@ -48,11 +48,15 @@ std::string error_line(const std::string& reason) {
 /// One connected client. The session thread reads and replies to request
 /// lines; the scheduler thread streams rows through send_line. The write
 /// mutex serializes the two; `dead` flips once (EOF, write failure, or
-/// server stop) and is never unset.
+/// server stop) and is never unset. `exited` flips once the session
+/// thread is past its last request, so it queues no more jobs and a join
+/// returns at once — the reaper's cue (Server::reap_sessions).
 struct Server::Session {
   int fd = -1;
   std::uint64_t id = 0;
   std::atomic<bool> dead{false};
+  std::atomic<bool> exited{false};
+  std::thread thread;  // written and joined by the accept thread, or stop()
 
   std::mutex write_mutex;
 
@@ -153,7 +157,7 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   if (running_.exchange(true)) return;
-  engine_.set_parallel({config_.threads, 0, config_.batch, config_.orbit});
+  engine_.set_parallel({config_.threads, 0, config_.orbit});
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -210,22 +214,48 @@ void Server::stop() {
     listen_fd_ = -1;
   }
   if (scheduler_thread_.joinable()) scheduler_thread_.join();
-  std::vector<std::thread> session_threads;
+  std::vector<std::shared_ptr<Session>> sessions;
   {
     std::lock_guard<std::mutex> lock(sched_mutex_);
     for (const auto& session : sessions_) session->dead.store(true);
-    session_threads.swap(session_threads_);
+    sessions.swap(sessions_);
+    rr_cursor_ = 0;
   }
-  for (std::thread& thread : session_threads) {
-    if (thread.joinable()) thread.join();
+  for (const auto& session : sessions) {
+    if (session->thread.joinable()) session->thread.join();
   }
-  std::lock_guard<std::mutex> lock(sched_mutex_);
-  sessions_.clear();
+}
+
+void Server::reap_sessions() {
+  std::vector<std::shared_ptr<Session>> finished;
+  {
+    std::lock_guard<std::mutex> lock(sched_mutex_);
+    // Compact the DRR ring in place; the cursor keeps pointing at the same
+    // live session, or at the one after a reaped cursor session.
+    std::size_t kept = 0;
+    std::size_t cursor = rr_cursor_;
+    for (std::size_t i = 0; i < sessions_.size(); ++i) {
+      std::shared_ptr<Session>& session = sessions_[i];
+      if (session->exited.load() && session->jobs.empty()) {
+        if (i < rr_cursor_) --cursor;
+        finished.push_back(std::move(session));
+      } else {
+        sessions_[kept++] = std::move(session);
+      }
+    }
+    sessions_.resize(kept);
+    rr_cursor_ = cursor < kept ? cursor : 0;
+  }
+  // Outside the lock: the threads are past their last request, so the
+  // joins return at once. Each fd closes when its last owner lets go — a
+  // job still streaming its final line may hold the session a bit longer.
+  for (const auto& session : finished) session->thread.join();
 }
 
 void Server::accept_loop() {
   std::uint64_t next_session_id = 1;
   while (running_.load()) {
+    reap_sessions();
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, kPollMillis);
     if (!running_.load()) break;
@@ -237,8 +267,7 @@ void Server::accept_loop() {
     session->id = next_session_id++;
     std::lock_guard<std::mutex> lock(sched_mutex_);
     sessions_.push_back(session);
-    session_threads_.emplace_back(
-        [this, session] { session_loop(session); });
+    session->thread = std::thread([this, session] { session_loop(session); });
   }
 }
 
@@ -273,6 +302,7 @@ void Server::session_loop(std::shared_ptr<Session> session) {
   // Orphaned queued jobs are dropped by the scheduler's next pick; wake it
   // so a drain waiting on them observes the disconnect promptly.
   work_cv_.notify_all();
+  session->exited.store(true);
 }
 
 std::string Server::handle_request(const std::shared_ptr<Session>& session,

@@ -61,6 +61,11 @@
 // to rows.hpp reference_rows() in-process (pinned by tests/service_test
 // and the CI service-smoke job).
 //
+// Sessions: every connection gets its own thread. Once the client hangs
+// up and the session's job queue is empty, the accept thread joins the
+// thread and drops the session from the DRR ring, so a closed connection
+// releases its fd however long the daemon runs.
+//
 // Shutdown: begin_drain() rejects new submits while queued jobs finish;
 // stop() drains, then joins every thread (rsbd calls it on SIGTERM; the
 // `shutdown` op sets shutdown_requested() for the daemon loop to observe).
@@ -85,15 +90,11 @@ struct ServerConfig {
   int port = 0;
   /// Engine worker threads per chunk sweep (ParallelConfig; 0 = hardware).
   int threads = 0;
-  /// Lockstep batch width per chunk sweep (ParallelConfig::batch). Batched
-  /// execution is byte-identical to unbatched, so this is invisible on the
-  /// wire — rows and cache shards do not change with the width.
-  int batch = 16;
   /// Default for orbit-level run deduplication (ParallelConfig::orbit).
   /// A spec may override per request with the hash-inert `orbit=on|off`
-  /// knob (canonical.hpp). Like batch, invisible on the wire: deduped
-  /// sweeps are byte-identical to brute force, so rows and cache shards
-  /// do not change with the setting — only the counters below move.
+  /// knob (canonical.hpp). Invisible on the wire: deduped sweeps are
+  /// byte-identical to brute force, so rows and cache shards do not
+  /// change with the setting — only the counters below move.
   bool orbit = true;
   /// Admission bound: pending (queued + running) jobs across all clients.
   std::size_t max_queue_jobs = 64;
@@ -159,6 +160,10 @@ class Server {
   struct Job;
 
   void accept_loop();
+  /// Joins and drops every session whose thread has exited and whose job
+  /// queue is empty, so a closed connection releases its fd and leaves
+  /// the DRR ring. Called by the accept thread on every loop turn.
+  void reap_sessions();
   void session_loop(std::shared_ptr<Session> session);
   void scheduler_loop();
 
@@ -202,7 +207,6 @@ class Server {
 
   std::thread accept_thread_;
   std::thread scheduler_thread_;
-  std::vector<std::thread> session_threads_;  // guarded by sched_mutex_
 
   mutable std::mutex sched_mutex_;
   std::condition_variable work_cv_;   // scheduler wake: work or stop

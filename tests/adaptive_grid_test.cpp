@@ -4,7 +4,7 @@
 // largest-remainder allocation rule. The headline law pinned here: the
 // full (point, seed range) schedule — and every merged result — is a pure
 // function of (grid declaration, total budget, config), byte-identical
-// across thread counts and lockstep batch widths, and every adaptive
+// across thread counts and chunk sizes, and every adaptive
 // point is prefix-identical to a uniform sweep of the same seed count.
 #include <gtest/gtest.h>
 
@@ -51,19 +51,19 @@ TEST(RunCollectRange, SplitSweepsMergeToTheFullSweep) {
   EXPECT_EQ(merged, full);
 }
 
-TEST(RunCollectRange, ResumptionHoldsAcrossThreadsAndBatchWidths) {
+TEST(RunCollectRange, ResumptionHoldsAcrossThreadsAndChunks) {
   const Experiment spec = random_wiring_base().with_seeds(1, 40);
   Engine serial;
   const RunStats full = serial.run_collect(spec, RunStats{});
   for (const int threads : {1, 4}) {
-    for (const int batch : {1, 16}) {
+    for (const std::uint64_t chunk : {0, 7}) {
       Engine engine;
-      engine.set_parallel({threads, 0, batch});
+      engine.set_parallel({threads, chunk});
       RunStats merged = engine.run_collect_range(spec, SeedRange::of(1, 13),
                                                  RunStats{});
       merged.merge(engine.run_collect_range(spec, SeedRange::of(14, 27),
                                             RunStats{}));
-      EXPECT_EQ(merged, full) << "threads=" << threads << " batch=" << batch;
+      EXPECT_EQ(merged, full) << "threads=" << threads << " chunk=" << chunk;
     }
   }
 }
@@ -293,19 +293,19 @@ TEST(RunGridAdaptive, ScheduleAndResultsAreAPureFunctionOfTheDeclaration) {
   ASSERT_EQ(reference.points.size(), 3u);
   EXPECT_EQ(reference.runs_spent, 240u);
 
-  // Same declaration, any threads x batch: identical schedule, identical
+  // Same declaration, any threads x chunk: identical schedule, identical
   // per-point stats and estimates, run for run.
   for (const int threads : {1, 4}) {
-    for (const int batch : {1, 16}) {
+    for (const std::uint64_t chunk : {0, 7}) {
       Engine engine;
-      engine.set_parallel({threads, 0, batch});
+      engine.set_parallel({threads, chunk});
       const auto result = run_grid_adaptive(engine, grid, 240, config);
       EXPECT_EQ(result.schedule, reference.schedule)
-          << "threads=" << threads << " batch=" << batch;
+          << "threads=" << threads << " chunk=" << chunk;
       ASSERT_EQ(result.points.size(), reference.points.size());
       for (std::size_t p = 0; p < result.points.size(); ++p) {
         EXPECT_EQ(result.points[p].result, reference.points[p].result)
-            << "point " << p << " threads=" << threads << " batch=" << batch;
+            << "point " << p << " threads=" << threads << " chunk=" << chunk;
         EXPECT_EQ(result.points[p].estimate, reference.points[p].estimate);
         EXPECT_EQ(result.points[p].runs, reference.points[p].runs);
       }
@@ -394,7 +394,7 @@ TEST(RunGridAdaptive, CostAwareScheduleIsDeterministicAndPrefixIdentical) {
   }
   for (const int threads : {1, 4}) {
     Engine engine;
-    engine.set_parallel({threads, 0, 1});
+    engine.set_parallel({threads, 0});
     const auto result = run_grid_adaptive(engine, grid, 240, config);
     EXPECT_EQ(result.schedule, reference.schedule) << "threads=" << threads;
     for (std::size_t p = 0; p < result.points.size(); ++p) {

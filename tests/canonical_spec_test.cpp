@@ -82,16 +82,14 @@ TEST(CanonicalSpec, InertKnobsNormalizeAway) {
 }
 
 TEST(CanonicalSpec, BatchKnobIsHashInert) {
-  // `batch` picks the executor's lockstep width, and batched execution is
-  // byte-identical to unbatched — so two requests differing only in batch
+  // `batch` is accepted for compatibility and ignored (it once picked a
+  // lockstep execution width) — so two requests differing only in batch
   // are the same ensemble: same canonical text, same hash, shared cache
-  // shards. The parsed value still reaches the spec for the executor.
+  // shards. Its value is still checked.
   const CanonicalSpec bare =
       CanonicalSpec::parse("loads=2,3\nprotocol=wait-for-singleton-LE");
   const CanonicalSpec batched = CanonicalSpec::parse(
       "batch=16\nloads=2,3\nprotocol=wait-for-singleton-LE");
-  EXPECT_EQ(batched.batch, 16);
-  EXPECT_EQ(bare.batch, 0);
   EXPECT_EQ(batched.canonical_text(), bare.canonical_text());
   EXPECT_EQ(batched.hash(), bare.hash());
   EXPECT_THROW(CanonicalSpec::parse("batch=-1\nloads=2,3\nprotocol=x"),

@@ -237,10 +237,10 @@ TEST(Collector, FoldCollectorStateAccess) {
 // ------------------------------------------------- run-index order
 
 TEST(Collector, AppendingCollectorSeesRunIndexOrderUnderEveryConfig) {
-  // 29 runs at chunk 3: many shards and a ragged tail. An appending
+  // 29 runs at chunk 3 or 7: many shards and a ragged tail. An appending
   // collector must come back with every run exactly once, in run-index
   // order, byte-identical to the serial sweep — per-run wiring included —
-  // for threads {1, 4} x batch {1, 16} x orbit {off, on}.
+  // for threads {1, 4} x chunk {auto, 3, 7} x orbit {off, on}.
   const auto spec = message_passing_spec(29);
   Engine serial;
   const std::vector<RecordedRun> reference = record_runs(serial, spec);
@@ -251,12 +251,12 @@ TEST(Collector, AppendingCollectorSeesRunIndexOrderUnderEveryConfig) {
     EXPECT_TRUE(reference[i].ports.has_value());
   }
   for (int threads : {1, 4}) {
-    for (int batch : {1, 16}) {
+    for (std::uint64_t chunk : {0, 3, 7}) {
       for (bool orbit : {false, true}) {
         Engine engine;
-        engine.set_parallel({threads, 3, batch, orbit});
+        engine.set_parallel({threads, chunk, orbit});
         EXPECT_EQ(record_runs(engine, spec), reference)
-            << "threads=" << threads << " batch=" << batch
+            << "threads=" << threads << " chunk=" << chunk
             << " orbit=" << orbit;
       }
     }

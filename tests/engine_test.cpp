@@ -4,9 +4,6 @@
 // through the allocating round operators (reference_run below).
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "algo/agents.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
 #include "record_outcomes.hpp"
@@ -229,51 +226,6 @@ TEST(EngineBatch, ClassSplitElectsExactlyMLeaders) {
   EXPECT_DOUBLE_EQ(stats.termination_rate(), 1.0);
   EXPECT_DOUBLE_EQ(stats.success_rate(), 1.0);
   EXPECT_EQ(stats.output_counts.at(1), 2u * stats.runs);
-}
-
-// ------------------------------------------------------------ batching
-
-TEST(EngineBatch, BatchedGroupsRemainderAndOversizedWidthMatchSerial) {
-  // 10 seeds: batch=8 forms one lockstep group plus a 2-lane tail batch;
-  // batch=64 exceeds the sweep, so all ten runs form one shorter batch.
-  // Both must reproduce the serial aggregate exactly.
-  Engine serial;
-  auto spec = Experiment::blackboard(SourceConfiguration::all_private(4))
-                  .with_protocol("wait-for-singleton-LE")
-                  .with_task("leader-election")
-                  .with_rounds(300)
-                  .with_seeds(1, 10);
-  const RunStats reference = serial.run_batch(spec);
-  for (const int batch : {8, 64}) {
-    Engine engine;
-    engine.set_parallel({1, 0, batch});
-    EXPECT_EQ(engine.run_batch(spec), reference) << "batch " << batch;
-  }
-}
-
-TEST(EngineBatch, AgentBackendIgnoresBatchWidth) {
-  // Lockstep lanes exist only in the knowledge backend; agent-backend
-  // sweeps must pass through untouched under any width.
-  auto spec = Experiment::message_passing(SourceConfiguration::all_private(4),
-                                          PortPolicy::kCyclic)
-                  .with_agents([](int) {
-                    return std::make_unique<sim::GossipLeaderElectionAgent>();
-                  })
-                  .with_task("leader-election")
-                  .with_rounds(40)
-                  .with_seeds(1, 12);
-  Engine serial;
-  const RunStats reference = serial.run_batch(spec);
-  Engine batched;
-  batched.set_parallel({1, 0, 16});
-  EXPECT_EQ(batched.run_batch(spec), reference);
-}
-
-TEST(EngineBatch, BatchWidthValidation) {
-  Engine engine;
-  EXPECT_THROW(engine.set_parallel({1, 0, 0}), InvalidArgument);
-  EXPECT_THROW(engine.set_parallel({1, 0, -4}), InvalidArgument);
-  engine.set_parallel({2, 5, 1});  // one lane is always legal
 }
 
 // ---------------------------------------------------------- validation

@@ -217,7 +217,7 @@ std::vector<bool> random_bits(int n, Xoshiro256StarStar& rng) {
 
 TEST(InPlaceKernels, BlackboardMatchesTheAllocatingRoundRoundForRound) {
   // Both branches of the in-place kernel — the caller-sorted multiset the
-  // lane kernel passes and the self-sorted one — intern exactly what the
+  // run kernel passes and the self-sorted one — intern exactly what the
   // allocating reference interns, in the same order, every round.
   for (int n = 1; n <= 8; ++n) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {

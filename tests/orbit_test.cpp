@@ -1,7 +1,7 @@
 // Tests for orbit-level run deduplication (engine/orbit.hpp): the
 // load-bearing replication law — an orbit-deduped sweep's RunStats AND
 // every collector row are byte-identical to the brute-force sweep — pinned
-// across threads {1, 4} x batch {1, 16} on both safe groups (the full
+// across threads {1, 4} x chunk {auto, 7} on both safe groups (the full
 // quotient for order-invariant protocols, blackboard multiset and
 // message-passing wiring refinement; the literal form for id-order rules
 // like wait-for-singleton-LE), crash-fault sweeps included; the identity
@@ -103,27 +103,27 @@ struct RowCollector {
   }
 };
 
-RowCollector sweep_rows(const Experiment& spec, int threads, int batch,
-                        bool orbit) {
+RowCollector sweep_rows(const Experiment& spec, int threads,
+                        std::uint64_t chunk, bool orbit) {
   Engine engine;
-  engine.set_parallel({threads, 0, batch, orbit});
+  engine.set_parallel({threads, chunk, orbit});
   return engine.run_collect(spec, RowCollector{});
 }
 
 void expect_byte_identical_sweeps(const Experiment& spec) {
-  const RowCollector reference = sweep_rows(spec, 1, 1, false);
+  const RowCollector reference = sweep_rows(spec, 1, 0, false);
   ASSERT_EQ(reference.rows.size(), spec.seeds.count);
   Engine brute;
   const RunStats brute_stats = brute.run_batch(spec);
   for (int threads : {1, 4}) {
-    for (int batch : {1, 16}) {
-      const RowCollector deduped = sweep_rows(spec, threads, batch, true);
+    for (std::uint64_t chunk : {0, 7}) {
+      const RowCollector deduped = sweep_rows(spec, threads, chunk, true);
       EXPECT_EQ(deduped.rows, reference.rows)
-          << "threads=" << threads << " batch=" << batch;
+          << "threads=" << threads << " chunk=" << chunk;
       Engine engine;
-      engine.set_parallel({threads, 0, batch, true});
+      engine.set_parallel({threads, chunk, true});
       EXPECT_EQ(engine.run_batch(spec), brute_stats)
-          << "threads=" << threads << " batch=" << batch;
+          << "threads=" << threads << " chunk=" << chunk;
     }
   }
 }
@@ -195,7 +195,7 @@ TEST(OrbitDedup, SafeGroupDetectionWidensTheQuotient) {
   // literal repeats — strictly fewer hits (serial split is deterministic).
   auto hits_for = [](const Experiment& spec) {
     Engine engine;
-    engine.set_parallel({1, 0, 1, true});
+    engine.set_parallel({1, 0, true});
     engine.run_batch(spec);
     return engine.orbit_hits();
   };
@@ -213,11 +213,11 @@ TEST(OrbitDedup, RecordedRunsReplicateIdentically) {
   Engine brute;
   const std::vector<RecordedRun> reference = record_runs(brute, spec);
   for (int threads : {1, 4}) {
-    for (int batch : {1, 16}) {
+    for (std::uint64_t chunk : {0, 7}) {
       Engine engine;
-      engine.set_parallel({threads, 0, batch, true});
+      engine.set_parallel({threads, chunk, true});
       EXPECT_EQ(record_runs(engine, spec), reference)
-          << "threads=" << threads << " batch=" << batch;
+          << "threads=" << threads << " chunk=" << chunk;
     }
   }
 }
@@ -228,7 +228,7 @@ TEST(OrbitDedup, ResumptionLawHoldsUnderDedup) {
   // couples the installments.
   const auto spec = clique_le(6, 156);
   Engine engine;
-  engine.set_parallel({1, 0, 1, true});
+  engine.set_parallel({1, 0, true});
   const RowCollector whole =
       engine.run_collect(spec, RowCollector{});
   RowCollector merged = engine.run_collect_range(
@@ -246,23 +246,23 @@ TEST(OrbitDedup, HitsPlusRepsEqualsRunsAndOrbitsAreNontrivial) {
   // must replicate a substantial fraction.
   const auto spec = clique_unique_le(6, 400);
   Engine engine;
-  engine.set_parallel({1, 0, 1, true});
+  engine.set_parallel({1, 0, true});
   engine.run_batch(spec);
   EXPECT_EQ(engine.orbit_hits() + engine.orbit_reps(), 400u);
   EXPECT_GT(engine.orbit_hits(), 0u);
   EXPECT_LT(engine.orbit_reps(), 400u);
 }
 
-TEST(OrbitDedup, CountersSumAcrossThreadsAndBatches) {
+TEST(OrbitDedup, CountersSumAcrossThreadsAndChunks) {
   const auto spec = clique_le(6, 256);
   for (int threads : {1, 4}) {
-    for (int batch : {1, 16}) {
+    for (std::uint64_t chunk : {0, 7}) {
       Engine engine;
-      engine.set_parallel({threads, 0, batch, true});
+      engine.set_parallel({threads, chunk, true});
       engine.run_batch(spec);
       // The split is timing-dependent under threads > 1; the sum is not.
       EXPECT_EQ(engine.orbit_hits() + engine.orbit_reps(), 256u)
-          << "threads=" << threads << " batch=" << batch;
+          << "threads=" << threads << " chunk=" << chunk;
     }
   }
 }
@@ -270,7 +270,7 @@ TEST(OrbitDedup, CountersSumAcrossThreadsAndBatches) {
 TEST(OrbitDedup, CountersAccumulateAcrossSweeps) {
   const auto spec = clique_le(5, 64);
   Engine engine;
-  engine.set_parallel({1, 0, 1, true});
+  engine.set_parallel({1, 0, true});
   engine.run_batch(spec);
   engine.run_batch(spec);
   EXPECT_EQ(engine.orbit_hits() + engine.orbit_reps(), 128u);
@@ -282,7 +282,7 @@ void expect_identity_path(const Experiment& spec) {
   Engine brute;
   const RunStats reference = brute.run_batch(spec);
   Engine engine;
-  engine.set_parallel({1, 0, 1, true});
+  engine.set_parallel({1, 0, true});
   EXPECT_EQ(engine.run_batch(spec), reference);
   // Ineligible specs never construct a table: both counters stay zero.
   EXPECT_EQ(engine.orbit_hits(), 0u);
@@ -374,7 +374,7 @@ TEST(OrbitDedup, RunsPastTheMemoCapExecuteUnmemoized) {
           .with_seeds(1, 32);
   expect_byte_identical_sweeps(spec);
   Engine engine;
-  engine.set_parallel({1, 0, 1, true});
+  engine.set_parallel({1, 0, true});
   engine.run_batch(spec);
   EXPECT_EQ(engine.orbit_hits(), 0u);
   EXPECT_EQ(engine.orbit_reps(), 32u);
@@ -387,7 +387,7 @@ TEST(OrbitDedup, ShortBudgetNonTerminatingRunsDedupSoundly) {
   const auto spec = clique_le(4, 200).with_rounds(2);
   expect_byte_identical_sweeps(spec);
   Engine engine;
-  engine.set_parallel({1, 0, 1, true});
+  engine.set_parallel({1, 0, true});
   engine.run_batch(spec);
   EXPECT_GT(engine.orbit_hits(), 0u);
 }

@@ -294,16 +294,16 @@ TEST(ParallelEngine, ConfigValidation) {
 }
 
 TEST(ParallelEngine, FreeStandingRunPreparedMatchesEngineRun) {
-  // The state layer itself: any context can execute any (spec, seed), here
-  // as a one-lane batch of the lane kernel.
+  // The state layer itself: any context can execute any (spec, seed)
+  // through the run kernel.
   const auto spec = blackboard_spec(4, 1);
   Engine engine;
   RunContext ctx;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const ProtocolOutcome via_engine = engine.run(spec, seed);
-    const LaneRequest request{seed, nullptr};
-    run_prepared_batch(ctx, spec, std::span<const LaneRequest>(&request, 1));
-    const ProtocolOutcome& via_context = ctx.batched.lanes[0].outcome;
+    const ProtocolOutcome& via_context =
+        run_prepared(ctx, spec, seed, /*ports=*/nullptr);
+    EXPECT_EQ(&via_context, &ctx.outcome);
     EXPECT_EQ(via_engine.terminated, via_context.terminated);
     EXPECT_EQ(via_engine.rounds, via_context.rounds);
     EXPECT_EQ(via_engine.outputs, via_context.outputs);

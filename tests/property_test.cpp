@@ -578,7 +578,7 @@ std::map<std::string, std::string> load_golden_sections() {
   return sections;
 }
 
-// The fixture itself: a default (serial, one-lane) engine reproduces every
+// The fixture itself: a default (serial) engine reproduces every
 // section. Regenerate with UPDATE_GOLDEN=1 only when a protocol's
 // semantics change on purpose.
 TEST(KnowledgeGolden, DefaultSweepsReproduceTheFixture) {
@@ -588,7 +588,7 @@ TEST(KnowledgeGolden, DefaultSweepsReproduceTheFixture) {
   rsb::testing::expect_matches_golden(all, "knowledge_outcomes.txt");
 }
 
-/// Sweeps each case under every batch {1, 2, 7, 16} x threads {1, 4} x
+/// Sweeps each case under every threads {1, 4} x chunk {auto, 7} x
 /// orbit {off, on} combination and compares its per-run outcomes with the
 /// fixture section, and its aggregate with the default engine's.
 void expect_cases_match_golden(bool faulty) {
@@ -600,16 +600,16 @@ void expect_cases_match_golden(bool faulty) {
     ASSERT_NE(expected, golden.end()) << "fixture lacks case " << c.name;
     Engine reference;
     const RunStats reference_stats = reference.run_batch(c.spec);
-    for (const int batch : {1, 2, 7, 16}) {
-      for (const int threads : {1, 4}) {
+    for (const int threads : {1, 4}) {
+      for (const std::uint64_t chunk : {0, 7}) {
         for (const bool orbit : {false, true}) {
           Engine engine;
-          engine.set_parallel({threads, 0, batch, orbit});
+          engine.set_parallel({threads, chunk, orbit});
           EXPECT_EQ(golden_section(engine, c), expected->second)
-              << c.name << " batch " << batch << " threads " << threads
+              << c.name << " threads " << threads << " chunk " << chunk
               << " orbit " << orbit;
           EXPECT_EQ(engine.run_batch(c.spec), reference_stats)
-              << c.name << " batch " << batch << " threads " << threads
+              << c.name << " threads " << threads << " chunk " << chunk
               << " orbit " << orbit;
         }
       }
@@ -618,17 +618,17 @@ void expect_cases_match_golden(bool faulty) {
 }
 
 // Law 14 — fault-free knowledge sweeps are pinned to the golden fixture
-// for every lane width, thread count and orbit setting, on both models.
-// 97 seeds is coprime to every width, so each sweep ends in a shorter
-// tail batch too.
-TEST(BatchProperty, BatchedSweepsMatchTheGoldenFixture) {
+// for every thread count, chunk size and orbit setting, on both models.
+// 97 seeds is not a multiple of 7, so a chunked sweep ends in a shorter
+// tail chunk too.
+TEST(ParallelProperty, SweepsMatchTheGoldenFixture) {
   expect_cases_match_golden(false);
 }
 
 // Law 15 — crash sweeps are pinned to the fixture run for run: crash
 // schedules, the survivors' decisions and the rounds they took are
-// byte-identical at every width, thread count and orbit setting.
-TEST(BatchProperty, BatchedCrashSweepsMatchTheGoldenFixture) {
+// byte-identical at every thread count, chunk size and orbit setting.
+TEST(ParallelProperty, CrashSweepsMatchTheGoldenFixture) {
   expect_cases_match_golden(true);
 }
 
@@ -655,10 +655,11 @@ TEST(GraphProperty, CliqueTopologyIsByteIdenticalToAllToAll) {
 }
 
 // Law 17 — graph-task sweeps are pure functions of (spec, seed): for each
-// delivery scheduler, every thread count and batch width reproduces the
+// delivery scheduler, every thread count and chunk size reproduces the
 // serial aggregate and the per-run outcomes byte for byte on a sparse
-// instance. 33 seeds is coprime to both batch widths.
-TEST(GraphProperty, GraphTaskSweepsIndependentOfThreadsBatchAndWorkers) {
+// instance. 33 seeds is not a multiple of 7, so chunked sweeps end in a
+// shorter tail chunk.
+TEST(GraphProperty, GraphTaskSweepsIndependentOfThreadsAndChunks) {
   for (const sim::SchedulerSpec& scheduler :
        {sim::SchedulerSpec::synchronous(),
         sim::SchedulerSpec::random_delay(2, 77)}) {
@@ -675,15 +676,15 @@ TEST(GraphProperty, GraphTaskSweepsIndependentOfThreadsBatchAndWorkers) {
     const auto reference_runs = snapshot_sweep(serial, spec);
     ASSERT_EQ(reference_runs.size(), 33u);
     for (const int threads : {1, 2, 4}) {
-      for (const int batch : {1, 7}) {
+      for (const std::uint64_t chunk : {0, 7}) {
         Engine engine;
-        engine.set_parallel({threads, 0, batch});
+        engine.set_parallel({threads, chunk});
         EXPECT_EQ(engine.run_batch(spec), reference_stats)
-            << scheduler.to_string() << " threads " << threads << " batch "
-            << batch;
+            << scheduler.to_string() << " threads " << threads << " chunk "
+            << chunk;
         EXPECT_EQ(snapshot_sweep(engine, spec), reference_runs)
-            << scheduler.to_string() << " threads " << threads << " batch "
-            << batch;
+            << scheduler.to_string() << " threads " << threads << " chunk "
+            << chunk;
       }
     }
   }

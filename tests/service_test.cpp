@@ -4,10 +4,13 @@
 // service layer) — the result cache serves repeated and subsumed queries
 // without executing runs, admission control bounds the queue with a
 // reasoned rejection, and drain finishes queued jobs while rejecting new
-// ones.
+// ones. A closed connection releases its fd: 2000 sequential clients leave
+// the daemon's fd count flat.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -331,6 +334,45 @@ TEST(Service, AdmissionQueueBoundRejectsWithReason) {
             std::string::npos);
   EXPECT_EQ(server.stats().jobs_rejected, 1u);
   server.stop();  // drains job 1
+}
+
+/// Open file descriptors of this process — the in-process server's
+/// listener and session sockets included.
+std::size_t open_fds() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(Service, ClosedConnectionsReleaseTheirFds) {
+  // Each accepted connection holds an fd until its session is reaped, so
+  // 2000 sequential ping-and-close clients must leave the count flat
+  // rather than 2000 higher. A few sessions may still sit between their
+  // client's close and the accept thread's next reaping turn, one poll
+  // interval at most: hence the slack and the short settle loop.
+  constexpr std::size_t kSlack = 16;
+  Server server({.threads = 1});
+  server.start();
+  const auto ping_once = [&server] {
+    Client client;
+    client.connect(server.port());
+    const Value pong = Value::parse(client.request("{\"op\":\"ping\"}"));
+    EXPECT_EQ(pong.find("type")->as_string(), "pong");
+  };
+  for (int i = 0; i < 50; ++i) ping_once();
+  const std::size_t before = open_fds();
+  for (int i = 0; i < 2000; ++i) ping_once();
+  std::size_t after = open_fds();
+  for (int wait = 0; wait < 50 && after > before + kSlack; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    after = open_fds();
+  }
+  EXPECT_LE(after, before + kSlack) << "before=" << before;
+  ping_once();  // the daemon still answers
+  server.stop();
 }
 
 TEST(Service, PartyBoundRejectsHugeLoadsAndTheDaemonSurvives) {
